@@ -36,14 +36,16 @@ use ivn_dsp::envelope::parabolic_peak;
 use ivn_dsp::fft;
 use ivn_runtime::rng::Rng;
 use std::f64::consts::TAU;
+use std::ops::Range;
 
 /// The incremental-rotation loop re-derives its phasor from exact trig
 /// every this many samples, bounding the compounded rounding error of
 /// `ph *= step` to ~256 ulps regardless of grid size.
 pub const RENORM_INTERVAL: usize = 256;
 
-/// One tone pass over the grid: `WRITE = true` assigns (initializing the
-/// buffer without a separate zeroing pass), `WRITE = false` accumulates.
+/// One tone pass over samples `first..first + acc.len()` of a `grid`-point
+/// period: `WRITE = true` assigns (initializing the buffer without a
+/// separate zeroing pass), `WRITE = false` accumulates.
 ///
 /// The incremental rotation runs as **four interleaved rotators**, each
 /// advancing by `4ω·dt`: a single rotator is a serial dependency chain —
@@ -52,13 +54,30 @@ pub const RENORM_INTERVAL: usize = 256;
 /// throughput of the textbook loop. Each [`RENORM_INTERVAL`] chunk
 /// re-derives its rotators from exact trig, bounding compounded rounding
 /// to a few hundred ulps regardless of grid size.
-fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    let grid = acc.len();
+///
+/// Chunks are anchored at absolute multiples of [`RENORM_INTERVAL`], and
+/// a sample takes the rotator value exactly when a whole-grid pass would
+/// (the trailing `len % 4` samples of the period's last chunk use direct
+/// trig in both), so any range with an aligned `first` reproduces the
+/// whole-grid pass bit for bit, however it is cut.
+fn tone_pass<const WRITE: bool>(
+    acc: &mut [Complex64],
+    grid: usize,
+    first: usize,
+    offset_hz: f64,
+    phase: f64,
+    amp: f64,
+) {
+    assert!(
+        first % RENORM_INTERVAL == 0 && first + acc.len() <= grid,
+        "range {first}+{} not a {RENORM_INTERVAL}-aligned part of a {grid}-point grid",
+        acc.len()
+    );
     let dt = 1.0 / grid as f64;
     let w = TAU * offset_hz * dt;
     let step1 = Complex64::cis(w);
     let step4 = Complex64::cis(4.0 * w);
-    let mut start = 0usize;
+    let mut start = first;
     for chunk in acc.chunks_mut(RENORM_INTERVAL) {
         let len = chunk.len();
         let base = TAU * offset_hz * (start as f64 * dt) + phase;
@@ -69,7 +88,12 @@ fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f6
             p0 * step1 * step1,
             p0 * step1 * step1 * step1,
         ];
-        let mut quads = chunk.chunks_exact_mut(4);
+        // Samples the whole-grid pass rotates: the full quads of this
+        // chunk as the whole period cuts it.
+        let whole = RENORM_INTERVAL.min(grid - start);
+        let rotated = whole - whole % 4;
+        let (head, tail) = chunk.split_at_mut(len.min(rotated));
+        let mut quads = head.chunks_exact_mut(4);
         for quad in &mut quads {
             for j in 0..4 {
                 if WRITE {
@@ -80,10 +104,17 @@ fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f6
                 p[j] *= step4;
             }
         }
-        let rem = quads.into_remainder();
-        let done = len - rem.len();
-        for (j, a) in rem.iter_mut().enumerate() {
-            let v = Complex64::from_polar(amp, base + w * (done + j) as f64);
+        // A range that ends inside a quad keeps that quad's rotator
+        // values.
+        for (a, &v) in quads.into_remainder().iter_mut().zip(&p) {
+            if WRITE {
+                *a = v;
+            } else {
+                *a += v;
+            }
+        }
+        for (j, a) in tail.iter_mut().enumerate() {
+            let v = Complex64::from_polar(amp, base + w * (rotated + j) as f64);
             if WRITE {
                 *a = v;
             } else {
@@ -103,13 +134,8 @@ fn tone_pass<const WRITE: bool>(acc: &mut [Complex64], offset_hz: f64, phase: f6
 /// of `from_polar(a, θ)`), which is how [`CrnKernel`] removes a perturbed
 /// tone from a cached grid.
 pub fn accumulate_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<false>(acc, offset_hz, phase, amp);
-}
-
-/// [`accumulate_tone`] that *assigns* instead of accumulating — the first
-/// tone of a fill initializes the buffer, saving the zeroing pass.
-pub fn write_tone(acc: &mut [Complex64], offset_hz: f64, phase: f64, amp: f64) {
-    tone_pass::<true>(acc, offset_hz, phase, amp);
+    let grid = acc.len();
+    tone_pass::<false>(acc, grid, 0, offset_hz, phase, amp);
 }
 
 /// Direct evaluation of the envelope `Y(t)` from raw tone parameters —
@@ -134,6 +160,61 @@ pub fn fft_pays_off(n_tones: usize, grid: usize, offsets_hz: &[f64]) -> bool {
         && offsets_hz
             .iter()
             .all(|f| f.fract() == 0.0 && f.abs() < 4.5e15)
+}
+
+/// Smallest grid maximum `|z|²` for which [`argmax_norm`]'s confirmation
+/// band is provably wide enough: above it, the absolute error of a
+/// subnormal component square is negligible next to the band. Below it
+/// (or with a non-finite point) every point is confirmed by `hypot`.
+const CONFIRM_FLOOR: f64 = 1e-290;
+
+/// Relative width of [`argmax_norm`]'s confirmation band. `|z|²` and
+/// `hypot` each carry a few ulps (≲ 1e-15) of relative rounding, so the
+/// `hypot` argmax always lies within this band of the `|z|²` maximum.
+const CONFIRM_BAND: f64 = 1e-12;
+
+/// Index of the largest `|z|` in `acc`, ties going to the last:
+/// exactly the index that
+/// `acc.iter().map(|z| z.norm()).enumerate().max_by(|a, b| a.1.total_cmp(&b.1))`
+/// returns, without a `hypot` per point.
+///
+/// The scan compares `|z|²`, then evaluates `hypot` only on the points
+/// within 1e-12 (relative) of the `|z|²` maximum and keeps
+/// the last `hypot` maximum among them. Every point outside the band has
+/// a strictly smaller `hypot` than the `|z|²` winner, so the confirmed
+/// index is the `hypot` argmax bit for bit — exact ties included. A grid
+/// whose maximum `|z|²` is non-finite or below 1e-290 is confirmed by
+/// `hypot` everywhere.
+///
+/// # Panics
+/// Panics if `acc` is empty.
+pub fn argmax_norm(acc: &[Complex64]) -> usize {
+    assert!(!acc.is_empty(), "argmax of an empty grid");
+    let mut best_sqr = f64::NEG_INFINITY;
+    let mut all_finite = true;
+    for z in acc {
+        let p = z.norm_sqr();
+        all_finite &= p.is_finite();
+        best_sqr = best_sqr.max(p);
+    }
+    let confirm_all = !all_finite || best_sqr < CONFIRM_FLOOR;
+    let band = best_sqr * (1.0 - CONFIRM_BAND);
+    // `max_by`'s fold: the running maximum yields to any value that
+    // compares greater than or equal.
+    let mut best: Option<(usize, f64)> = None;
+    for (i, z) in acc.iter().enumerate() {
+        if confirm_all || z.norm_sqr() >= band {
+            let y = z.norm();
+            let replace = match best {
+                Some((_, b)) => y.total_cmp(&b).is_ge(),
+                None => true,
+            };
+            if replace {
+                best = Some((i, y));
+            }
+        }
+    }
+    best.expect("the |z|² maximum is always confirmed").0
 }
 
 /// Refined peak amplitude of a sampled complex grid: parabolic
@@ -193,23 +274,46 @@ impl EnvelopeScratch {
         grid: usize,
     ) {
         assert!(grid > 0);
+        self.fill_direct_range(offsets_hz, phases, amps, grid, 0..grid);
+    }
+
+    /// Fills the workspace with samples `range` of the `grid`-point
+    /// period by direct accumulation: O(N·range.len()). With
+    /// `range.start` a multiple of [`RENORM_INTERVAL`] the result is
+    /// bit-identical to the same slice of [`Self::fill_direct`] (the
+    /// rotator chunks coincide), so a consumer that stops early can
+    /// sample the period block by block and skip the rest.
+    ///
+    /// # Panics
+    /// Panics if `range.start` is not a multiple of [`RENORM_INTERVAL`]
+    /// or `range.end > grid`.
+    pub fn fill_direct_range(
+        &mut self,
+        offsets_hz: &[f64],
+        phases: &[f64],
+        amps: Option<&[f64]>,
+        grid: usize,
+        range: Range<usize>,
+    ) {
         assert_eq!(offsets_hz.len(), phases.len(), "offsets/phases mismatch");
-        if self.acc.len() != grid {
+        let len = range.len();
+        if self.acc.len() != len {
             self.acc.clear();
-            self.acc.resize(grid, Complex64::ZERO);
+            self.acc.resize(len, Complex64::ZERO);
         }
         if offsets_hz.is_empty() {
             self.acc.fill(Complex64::ZERO);
             return;
         }
+        let acc = &mut self.acc;
         for i in 0..offsets_hz.len() {
-            let a = amps.map_or(1.0, |a| a[i]);
+            let (f, b, a) = (offsets_hz[i], phases[i], amps.map_or(1.0, |a| a[i]));
             if i == 0 {
                 // The first tone writes, initializing the grid without a
                 // separate zeroing pass.
-                write_tone(&mut self.acc, offsets_hz[i], phases[i], a);
+                tone_pass::<true>(acc, grid, range.start, f, b, a);
             } else {
-                accumulate_tone(&mut self.acc, offsets_hz[i], phases[i], a);
+                tone_pass::<false>(acc, grid, range.start, f, b, a);
             }
         }
     }

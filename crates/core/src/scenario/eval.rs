@@ -11,19 +11,57 @@
 //!
 //! Determinism: trial `i` draws from `seed.fork(i)`; the result depends
 //! only on the scenario and the run mode, never on thread count.
+//!
+//! # Lazy session evaluation
+//!
+//! A single-sensor trial does only the work its [`ScenarioMetrics`]
+//! depend on, with the same bits as sampling and integrating the whole
+//! CIB period:
+//!
+//! - **256-aligned ranges.** [`time_to_power`] samples the period in
+//!   blocks of [`RENORM_INTERVAL`] samples via
+//!   [`CibEnvelope::sample_range`]. Each block starts on a rotator-chunk
+//!   boundary, so the incremental rotation restarts from the same exact
+//!   trig as the whole-period pass and every sample matches bit for bit.
+//!   Plans the FFT synthesizes ([`CibEnvelope::samples_via_fft`]) keep
+//!   whole-period sampling.
+//! - **Sticky wake latch.** Only `powered` and `time_to_power_s` of the
+//!   transient reach the metrics, and the harvester's wake index is
+//!   never cleared once set, so integration stops at the first block
+//!   after [`PowerUpState::is_powered`] turns true. Trials that never
+//!   wake still integrate the whole period.
+//! - **Argmax confirmation.** [`CibEnvelope::peak_over_period`] picks its
+//!   grid argmax on `|z|²` and confirms it with `hypot` only near the
+//!   maximum ([`crate::kernels::argmax_norm`]): the same index, ties to
+//!   the last, as an argmax over the sampled envelope.
+//! - **The `p == 0` identity.** Keying the Query through the ripple
+//!   ([`CibEnvelope::key_raster`]) passes PIE notch samples through
+//!   without evaluating the envelope: `p·Y == p` for `p == ±0` and any
+//!   finite `Y ≥ 0`.
+//!
+//! The harvester's `harvester.charge_steps` obs counter counts the
+//! samples actually integrated, so it reads lower than one period per
+//! trial by design.
+//!
+//! [`PowerUpState::is_powered`]: ivn_harvester::powerup::PowerUpState::is_powered
 
 use super::{Scenario, ScenarioKind};
+use crate::kernels::{EnvelopeScratch, RENORM_INTERVAL};
 use crate::multisensor::{run_campaign, scenario_deployment};
+use crate::waveform::CibEnvelope;
 use ivn_dsp::stats::Summary;
 use ivn_dsp::units::dbm_to_watts;
+use ivn_harvester::powerup::TagPowerProfile;
 use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::link::LinkParams;
 use ivn_rfid::pie;
 use ivn_runtime::json::{Json, ToJson};
 use ivn_runtime::par;
 
-/// Block size for the streaming harvester transient.
-const POWER_BLOCK: usize = 1024;
+/// Block size for the streaming harvester transient: one rotator chunk,
+/// so every block starts 256-aligned and the block sampler matches the
+/// whole-period synthesis bit for bit.
+const POWER_BLOCK: usize = RENORM_INTERVAL;
 
 /// Campaign metrics for one evaluated scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,15 +124,85 @@ impl ToJson for ScenarioMetrics {
     }
 }
 
+/// A power-session sample rate [`evaluate`] cannot run with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RateError {
+    /// `powerup_rate` is not finite or below 1 S/s: the power-up grid of
+    /// `powerup_rate as usize` samples per period would be empty.
+    PowerUp(f64),
+    /// `command_rate` is not finite and positive.
+    Command(f64),
+}
+
+impl std::fmt::Display for RateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RateError::PowerUp(r) => {
+                write!(f, "powerup_rate must be finite and >= 1 S/s, got {r}")
+            }
+            RateError::Command(r) => {
+                write!(f, "command_rate must be finite and > 0 S/s, got {r}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RateError {}
+
 /// Envelope sample rates for the harvester transient and command keying.
-fn rates(kind: &ScenarioKind) -> (f64, f64) {
-    match kind {
+fn rates(kind: &ScenarioKind) -> Result<(f64, f64), RateError> {
+    let (powerup_rate, command_rate) = match kind {
         ScenarioKind::PowerSession {
             powerup_rate,
             command_rate,
         } => (*powerup_rate, *command_rate),
         _ => (4096.0, 400e3),
+    };
+    if !(powerup_rate.is_finite() && powerup_rate >= 1.0) {
+        return Err(RateError::PowerUp(powerup_rate));
     }
+    if !(command_rate.is_finite() && command_rate > 0.0) {
+        return Err(RateError::Command(command_rate));
+    }
+    Ok((powerup_rate, command_rate))
+}
+
+/// When a tag with `power`, driven by one CIB period of `envelope`
+/// sampled at `rate` S/s, first reaches its operating voltage (`None`:
+/// never within the period).
+///
+/// Bit-identical to the `time_to_power_s` of
+/// [`TagPowerProfile::power_up`] over the squared
+/// [`CibEnvelope::sample_period`]`(rate as usize)`, but the period is
+/// sampled and integrated block by block and the integration stops at
+/// the wake (see the module docs).
+pub fn time_to_power(envelope: &CibEnvelope, power: &TagPowerProfile, rate: f64) -> Option<f64> {
+    let grid = rate as usize;
+    // The block sampler reproduces the direct synthesis only; a plan the
+    // FFT synthesizes keeps sampling the whole period up front.
+    let whole = envelope
+        .samples_via_fft(grid)
+        .then(|| envelope.sample_period(grid));
+    let mut scratch = EnvelopeScratch::new();
+    let mut state = power.begin_power_up(rate);
+    let mut power_block = Vec::with_capacity(POWER_BLOCK);
+    for start in (0..grid).step_by(POWER_BLOCK) {
+        let range = start..(start + POWER_BLOCK).min(grid);
+        power_block.clear();
+        match &whole {
+            Some(amp) => power_block.extend(amp[range].iter().map(|a| a * a)),
+            None => power_block.extend(
+                envelope
+                    .sample_range(grid, range, &mut scratch)
+                    .map(|a| a * a),
+            ),
+        }
+        state.step_block(&power_block);
+        if state.is_powered() {
+            break;
+        }
+    }
+    state.finish().time_to_power_s
 }
 
 /// Evaluates one scenario. Runs trials inline (single worker) so the
@@ -154,9 +262,9 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     }
 
     // Single-sensor substrate: gain → power-up transient → downlink.
+    let (powerup_rate, command_rate) = rates(&s.kind).map_err(|e| e.to_string())?;
     ivn_runtime::obs_count!("experiment.trials", trials);
     let _eval_span = ivn_runtime::span!("experiment.scenario_eval_ns");
-    let (powerup_rate, command_rate) = rates(&s.kind);
     let query = Command::Query {
         dr: DivideRatio::Dr8,
         m: TagEncoding::Fm0,
@@ -183,34 +291,22 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let (t_peak, peak_amp) = envelope.peak_over_period(cib.grid);
         let gain_db = 10.0 * (peak_amp * peak_amp / single_w).log10();
 
-        // Harvester transient over one CIB period, streamed block-wise.
-        let amp = envelope.sample_period(powerup_rate as usize);
-        let mut state = tag.power.begin_power_up(powerup_rate);
-        let mut power_block = Vec::with_capacity(POWER_BLOCK);
-        for chunk in amp.chunks(POWER_BLOCK) {
-            power_block.clear();
-            power_block.extend(chunk.iter().map(|a| a * a));
-            state.step_block(&power_block);
-        }
-        let up = state.finish();
+        let time_to_power_s = time_to_power(&envelope, &tag.power, powerup_rate);
+        let powered = time_to_power_s.is_some();
 
         // Downlink Query keyed on the envelope peak, decoded through the
         // CIB ripple (only meaningful once powered).
-        let decoded = up.powered && {
+        let decoded = powered && {
             let t_start = t_peak - profile.len() as f64 / command_rate / 2.0;
-            let tag_env: Vec<f64> = profile
-                .iter()
-                .enumerate()
-                .map(|(k, &p)| p * envelope.envelope(t_start + k as f64 / command_rate))
-                .collect();
+            let tag_env = envelope.key_raster(&profile, t_start, command_rate);
             pie::decode_frame(&tag_env, command_rate)
                 .map(|d| d == bits)
                 .unwrap_or(false)
         };
         TrialOut {
             gain_db,
-            powered: up.powered,
-            time_to_power_s: up.time_to_power_s,
+            powered,
+            time_to_power_s,
             decoded,
         }
     });
@@ -296,6 +392,38 @@ mod tests {
             m.trials + mm.trials,
             after - before
         );
+    }
+
+    #[test]
+    fn invalid_session_rates_are_typed_errors() {
+        let session = |powerup_rate, command_rate| ScenarioKind::PowerSession {
+            powerup_rate,
+            command_rate,
+        };
+        // Compared as text: `RateError` holds the rejected value, NaN
+        // included.
+        for r in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rates(&session(r, 400e3)).map_err(|e| e.to_string()),
+                Err(RateError::PowerUp(r).to_string())
+            );
+        }
+        for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rates(&session(2048.0, r)).map_err(|e| e.to_string()),
+                Err(RateError::Command(r).to_string())
+            );
+        }
+        assert_eq!(rates(&session(1.0, 1.0)), Ok((1.0, 1.0)));
+
+        let mut s = builtin("session").unwrap();
+        s.kind = session(0.5, 400e3);
+        let err = evaluate(&s, true).unwrap_err();
+        assert!(err.contains("powerup_rate"), "{err}");
+        // The smallest valid rates evaluate (one-sample grids) without
+        // a panic.
+        s.kind = session(1.0, 0.5);
+        assert_eq!(evaluate(&s, true).unwrap().trials, 4);
     }
 
     #[test]

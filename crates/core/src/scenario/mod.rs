@@ -30,7 +30,7 @@ use crate::freqsel::{optimize, FreqSelConfig};
 use ivn_em::medium::Medium;
 use ivn_runtime::json::{field, FromJson, Json, JsonError, ToJson};
 
-pub use eval::{evaluate, ScenarioMetrics};
+pub use eval::{evaluate, time_to_power, RateError, ScenarioMetrics};
 
 fn err<T>(reason: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError {

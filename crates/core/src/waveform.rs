@@ -6,8 +6,10 @@
 //! the first-order droop bound (Eq. 8) that yields the RMS-offset
 //! constraint (Eq. 9).
 
+use crate::kernels::{argmax_norm, fft_pays_off, EnvelopeScratch};
 use ivn_dsp::complex::Complex64;
 use std::f64::consts::TAU;
+use std::ops::Range;
 
 /// An analytic CIB envelope: tones at integer-hertz offsets with fixed
 /// phases and amplitudes, periodic in 1 second.
@@ -65,6 +67,26 @@ impl CibEnvelope {
         self.sample(t).norm()
     }
 
+    /// A rasterized command as the tag receives it: raster sample `k`,
+    /// sent at `t_start + k / rate` seconds, scaled by the envelope there.
+    ///
+    /// Notch samples (`p == 0`) are passed through without evaluating the
+    /// envelope. That is exact: `p·Y == p` for `p == ±0` and any finite
+    /// `Y ≥ 0`, and the envelope of finite tones is finite.
+    pub fn key_raster(&self, raster: &[f64], t_start: f64, rate: f64) -> Vec<f64> {
+        raster
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| {
+                if p == 0.0 {
+                    p
+                } else {
+                    p * self.envelope(t_start + k as f64 / rate)
+                }
+            })
+            .collect()
+    }
+
     /// Sum of amplitudes — the unreachable-or-reached ceiling `Y ≤ Σaᵢ`
     /// (equals N for unit amplitudes; paper §3.4).
     pub fn ceiling(&self) -> f64 {
@@ -79,9 +101,42 @@ impl CibEnvelope {
     /// cheaper ([`crate::kernels::fft_pays_off`]).
     pub fn sample_period(&self, grid: usize) -> Vec<f64> {
         assert!(grid > 0);
-        let mut scratch = crate::kernels::EnvelopeScratch::new();
+        let mut scratch = EnvelopeScratch::new();
         scratch.fill(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
         scratch.grid().iter().map(|z| z.norm()).collect()
+    }
+
+    /// Whether [`Self::sample_period`]`(grid)` synthesizes the period
+    /// through the sparse-spectrum FFT ([`fft_pays_off`]) rather than by
+    /// direct accumulation.
+    pub fn samples_via_fft(&self, grid: usize) -> bool {
+        fft_pays_off(self.n(), grid, &self.offsets_hz)
+    }
+
+    /// Samples `range` of [`Self::sample_period`]`(grid)` by direct
+    /// accumulation, bit-identical to that slice whenever
+    /// [`Self::samples_via_fft`] is false (the whole period is then
+    /// sampled the same direct way) and
+    /// `range.start` is a multiple of [`crate::kernels::RENORM_INTERVAL`]
+    /// (the rotator chunks then coincide with the whole-period pass).
+    /// `scratch` holds the block's complex samples.
+    ///
+    /// # Panics
+    /// Panics if `range.start` is not 256-aligned or `range.end > grid`.
+    pub fn sample_range<'s>(
+        &self,
+        grid: usize,
+        range: Range<usize>,
+        scratch: &'s mut EnvelopeScratch,
+    ) -> impl Iterator<Item = f64> + 's {
+        scratch.fill_direct_range(
+            &self.offsets_hz,
+            &self.phases,
+            Some(&self.amplitudes),
+            grid,
+            range,
+        );
+        scratch.grid().iter().map(|z| z.norm())
     }
 
     /// [`Self::sample_period`] forced through the sparse-spectrum FFT
@@ -92,7 +147,7 @@ impl CibEnvelope {
     /// Panics if `grid` is not a power of two or any offset is not an
     /// exact integer.
     pub fn sample_period_fft(&self, grid: usize) -> Vec<f64> {
-        let mut scratch = crate::kernels::EnvelopeScratch::new();
+        let mut scratch = EnvelopeScratch::new();
         scratch.fill_fft(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
         scratch.grid().iter().map(|z| z.norm()).collect()
     }
@@ -100,13 +155,13 @@ impl CibEnvelope {
     /// Peak of the envelope over one period: `(t_peak, Y_peak)`.
     ///
     /// Grid search at `grid` points followed by local ternary refinement.
+    /// The grid argmax is the index of the largest [`Self::sample_period`]
+    /// value (ties to the last), found on `|z|²` over the kernel grid by
+    /// [`crate::kernels::argmax_norm`].
     pub fn peak_over_period(&self, grid: usize) -> (f64, f64) {
-        let env = self.sample_period(grid);
-        let (k, _) = env
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("non-empty grid");
+        let mut scratch = EnvelopeScratch::new();
+        scratch.fill(&self.offsets_hz, &self.phases, Some(&self.amplitudes), grid);
+        let k = argmax_norm(scratch.grid());
         // Ternary-search refinement on the bracketing interval.
         let dt = 1.0 / grid as f64;
         let mut lo = (k as f64 - 1.0) * dt;

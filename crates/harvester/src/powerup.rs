@@ -702,6 +702,15 @@ impl PowerUpState<'_> {
         }
     }
 
+    /// Whether the chip has woken. The wake latch is sticky — once set it
+    /// is never cleared — so a consumer that only needs `powered` and
+    /// the wake time can stop feeding samples as soon as this is true:
+    /// [`PowerUpOutcome::powered`] and [`PowerUpOutcome::time_to_power_s`]
+    /// no longer change (the voltages still would).
+    pub fn is_powered(&self) -> bool {
+        self.awake_at.is_some()
+    }
+
     /// Samples integrated so far.
     pub fn samples_seen(&self) -> usize {
         self.n

@@ -101,3 +101,56 @@ fn generated_fleet_is_seed_stable_and_valid() {
         "sweep did not vary placement: {depths:?}"
     );
 }
+
+#[test]
+fn invalid_session_rates_are_listed_as_errors_not_panics() {
+    // A power-up rate below 1 S/s leaves an empty power-up grid, and a
+    // non-positive command rate cannot key a Query: both parse, and both
+    // must come back from the campaign as per-scenario errors while the
+    // valid scenario beside them still evaluates.
+    let good = builtin("session").expect("builtin");
+    let mut fleet = vec![good.clone()];
+    for (i, (powerup_rate, command_rate)) in [
+        (0.5, 400e3),
+        (0.0, 400e3),
+        (-1.0, 400e3),
+        (2048.0, 0.0),
+        (2048.0, -1.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let text = good
+            .with_name(&format!("bad{i}"))
+            .dump()
+            .replace(
+                "\"powerup_rate\":2048",
+                &format!("\"powerup_rate\":{powerup_rate}"),
+            )
+            .replace(
+                "\"command_rate\":400000",
+                &format!("\"command_rate\":{command_rate}"),
+            );
+        let s = Scenario::parse(&text).unwrap_or_else(|e| panic!("bad{i}: {}", e.reason));
+        assert_eq!(
+            s.kind,
+            ivn_core::scenario::ScenarioKind::PowerSession {
+                powerup_rate,
+                command_rate
+            },
+            "bad{i} did not carry its rates through the JSON"
+        );
+        fleet.push(s);
+    }
+    let out = campaign::run(&fleet, true, 2);
+    assert_eq!(out.metrics.len(), 1);
+    assert_eq!(out.metrics[0].name, "session");
+    let names: Vec<&str> = out.errors.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["bad0", "bad1", "bad2", "bad3", "bad4"]);
+    for (name, reason) in &out.errors[..3] {
+        assert!(reason.contains("powerup_rate"), "{name}: {reason}");
+    }
+    for (name, reason) in &out.errors[3..] {
+        assert!(reason.contains("command_rate"), "{name}: {reason}");
+    }
+}
