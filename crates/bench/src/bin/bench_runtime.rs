@@ -4,7 +4,7 @@
 //! Sweeps `peak_gain_cdf` across worker-pool widths 1/2/4/8, verifies
 //! every width produces bit-identical results, records per-width
 //! speedups (`"parallel_sweep"` in the JSON), times one representative
-//! workload per pipeline stage (sdr, em, harvester, rfid, freqsel) and
+//! workload per pipeline stage (sdr, em, harvester, rfid, freqsel, oob) and
 //! per envelope kernel (fill_direct, fill_fft, swap_eval, climb), and
 //! writes `BENCH_runtime.json` (machine-readable, via the in-tree JSON
 //! layer) to the current directory.
@@ -213,6 +213,29 @@ fn stage_workload(stage: &str, fast: bool) -> f64 {
             let mut rng = StdRng::seed_from_u64(SEED);
             let draws = if fast { 16 } else { 96 };
             expected_peak(&PAPER_OFFSETS_HZ, draws, GRID, &mut rng)
+        }
+        "oob" => {
+            // One out-of-band uplink decode shaped like a fig13 session's:
+            // 8 000-sample periods averaged 20 times under 4 CIB jam tones.
+            use ivn_core::oob::{JamTone, OobReader, OobReaderConfig};
+            use ivn_rfid::link::LinkParams;
+            let cfg = OobReaderConfig::paper_defaults();
+            let samples_per_half =
+                (cfg.sample_rate / LinkParams::paper_defaults().blf_hz() / 2.0).round() as usize;
+            let jam: Vec<JamTone> = PAPER_OFFSETS_HZ[..4]
+                .iter()
+                .enumerate()
+                .map(|(i, &df)| JamTone {
+                    freq_hz: cfg.beamformer_hz + df,
+                    amplitude: 0.05,
+                    phase: i as f64,
+                })
+                .collect();
+            let rn16: Vec<bool> = (0..16).map(|i| (0xBEEFu16 >> i) & 1 == 1).collect();
+            let mut rng = StdRng::seed_from_u64(SEED);
+            OobReader::new(cfg)
+                .receive_and_decode(&mut rng, 1e-4, &rn16, samples_per_half, &jam, 8_000)
+                .correlation
         }
         other => unreachable!("unknown stage {other}"),
     }
@@ -480,7 +503,7 @@ fn main() -> std::process::ExitCode {
 
     // Per-stage wall-clock breakdown. With --obs the stage runs also feed
     // the metric registry, so the report reflects exactly this work.
-    const STAGES: [&str; 5] = ["sdr", "em", "harvester", "rfid", "freqsel"];
+    const STAGES: [&str; 6] = ["sdr", "em", "harvester", "rfid", "freqsel", "oob"];
     if with_obs {
         obs::reset();
         obs::set_enabled(true);

@@ -42,12 +42,15 @@ pub fn render(s: &Scenario, quick: bool) -> String {
             100.0,
         ),
     ];
-    for (title, placement, tag, scale) in panels {
-        let panel = s.clone().with_placement(placement).with_tag(tag);
+    let scenarios: Vec<Scenario> = panels
+        .iter()
+        .map(|(_, placement, tag, _)| s.clone().with_placement(placement.clone()).with_tag(*tag))
+        .collect();
+    let all_rows = range_vs_antennas(&scenarios, quick);
+    for (&(title, _, _, scale), rows) in panels.iter().zip(&all_rows) {
         out += &crate::header(title);
         out += &format!("{:>10}  {:>12}\n", "antennas", "max range");
-        let rows = range_vs_antennas(&panel, quick);
-        for r in &rows {
+        for r in rows {
             out += &format!("{:>10}  {:>12.2}\n", r.n, r.range_m * scale);
         }
         if let (Some(first), Some(last)) = (rows.first(), rows.last()) {

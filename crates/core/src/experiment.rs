@@ -5,7 +5,7 @@
 //! mode, and returns the statistics the paper plots. The bench harness
 //! (`ivn-bench`) formats them into the paper's rows/series; integration
 //! tests assert their shapes. Low-level positional kernels
-//! (`*_threads`, [`range_vs_antennas_env`]) remain for determinism tests
+//! (`*_threads`) remain for determinism tests
 //! and micro-benchmarks.
 //!
 //! All Monte-Carlo loops run on the `ivn-runtime` worker pool: trial `i`
@@ -406,57 +406,58 @@ pub struct RangePoint {
     pub range_m: f64,
 }
 
-/// Which Fig. 13 panel to reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeEnvironment {
-    /// Line-of-sight air (Fig. 13a/b).
-    Air,
-    /// Water-tank depth (Fig. 13c/d).
-    Water,
+/// Runs [`ScenarioKind::Range`] scenarios, one per figure panel: max
+/// range vs antennas for each panel's tag, in air for a free-space
+/// placement and water depth for everything else. Returns one row set
+/// per panel, in panel order.
+///
+/// # Panics
+/// Panics if a scenario is not a `range` scenario.
+pub fn range_vs_antennas(panels: &[Scenario], quick: bool) -> Vec<Vec<RangePoint>> {
+    range_vs_antennas_threads(panels, quick, par::num_threads())
 }
 
-/// Runs a [`ScenarioKind::Range`] scenario: max range vs antennas for the
-/// scenario's tag, in air for a free-space placement and water depth for
-/// everything else.
-pub fn range_vs_antennas(s: &Scenario, quick: bool) -> Vec<RangePoint> {
-    let ScenarioKind::Range { n_max } = &s.kind else {
-        panic!(
-            "range_vs_antennas needs a 'range' scenario, got '{}'",
-            s.kind.type_name()
-        )
-    };
-    let env = match s.placement {
-        PlacementSpec::FreeSpace { .. } => RangeEnvironment::Air,
-        _ => RangeEnvironment::Water,
-    };
-    range_vs_antennas_env(env, s.tag.spec(), n_max.get(quick), s.seed, s.eirp_dbm)
-}
-
-/// Positional kernel behind [`range_vs_antennas`]: one panel's bisection
-/// sweep over antenna counts.
-pub fn range_vs_antennas_env(
-    env: RangeEnvironment,
-    tag: TagSpec,
-    n_max: usize,
-    seed: u64,
-    eirp_dbm: f64,
-) -> Vec<RangePoint> {
+/// [`range_vs_antennas`] on an explicit worker count. Every
+/// `(panel, antenna count)` bisection is one work item with its own seed,
+/// so the rows are identical at any thread count and equal to running
+/// each panel on its own.
+pub fn range_vs_antennas_threads(
+    panels: &[Scenario],
+    quick: bool,
+    threads: usize,
+) -> Vec<Vec<RangePoint>> {
     let _span = ivn_runtime::span!("experiment.range_vs_antennas_ns");
-    ivn_runtime::obs_count!("experiment.rounds", n_max);
-    // Each antenna count is an independent bisection search with its own
-    // seed, so the sweep parallelizes over `n` rather than over trials.
-    let ns: Vec<usize> = (1..=n_max).collect();
-    par::par_map(&ns, |_, &n| {
-        let mut config = SystemConfig::paper_prototype(n, tag.clone());
-        config.eirp_dbm = eirp_dbm;
+    let items: Vec<(usize, usize)> = panels
+        .iter()
+        .enumerate()
+        .flat_map(|(p, s)| {
+            let ScenarioKind::Range { n_max } = &s.kind else {
+                panic!(
+                    "range_vs_antennas needs a 'range' scenario, got '{}'",
+                    s.kind.type_name()
+                )
+            };
+            (1..=n_max.get(quick)).map(move |n| (p, n))
+        })
+        .collect();
+    ivn_runtime::obs_count!("experiment.rounds", items.len());
+    let points = par::par_map_threads(threads, &items, |_, &(p, n)| {
+        let s = &panels[p];
+        let mut config = SystemConfig::paper_prototype(n, s.tag.spec());
+        config.eirp_dbm = s.eirp_dbm;
         let sys = IvnSystem::new(config);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(n as u64 * 31));
-        let range_m = match env {
-            RangeEnvironment::Air => sys.max_range_air(&mut rng, 0.05, 80.0, 2),
-            RangeEnvironment::Water => sys.max_depth_water(&mut rng, 0.5, 2),
+        let mut rng = StdRng::seed_from_u64(s.seed.wrapping_add(n as u64 * 31));
+        let range_m = match s.placement {
+            PlacementSpec::FreeSpace { .. } => sys.max_range_air(&mut rng, 0.05, 80.0, 2),
+            _ => sys.max_depth_water(&mut rng, 0.5, 2),
         };
         RangePoint { n, range_m }
-    })
+    });
+    let mut rows: Vec<Vec<RangePoint>> = panels.iter().map(|_| Vec::new()).collect();
+    for (&(p, _), point) in items.iter().zip(points) {
+        rows[p].push(point);
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,8 @@
 //! exercises:
 //!
 //! 1. **Power-up** — the CIB envelope at the tag (√watt units) drives the
-//!    harvester transient; the chip must reach its operating voltage.
+//!    harvester transient; the chip must reach its operating voltage
+//!    ([`time_to_power`], which stops integrating at the wake).
 //! 2. **Downlink** — a Gen2 Query is PIE-keyed synchronously on all
 //!    antennas around the envelope peak; the tag's envelope detector must
 //!    decode it *through* the CIB amplitude ripple (this is where the
@@ -21,7 +22,7 @@
 use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
 use crate::oob::{DecodeResult, JamTone, OobReader, OobReaderConfig};
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::scenario::{time_to_power, Scenario, ScenarioKind};
 use ivn_dsp::units::dbm_to_watts;
 use ivn_rfid::backscatter::BackscatterModulator;
 use ivn_rfid::commands::{Command, Session};
@@ -156,23 +157,22 @@ impl IvnSystem {
         let envelope = cfg.cib.envelope_at(&trial.channels);
 
         // ---- Stage 1: power-up over one CIB period. ------------------
-        let grid = cfg.powerup_rate as usize;
-        let amp_env = envelope.sample_period(grid); // √W
-        let power_env: Vec<f64> = amp_env.iter().map(|a| a * a).collect();
-        let powerup = cfg.tag.power.power_up(&power_env, cfg.powerup_rate);
+        // Only the wake time reaches the outcome, so the transient stops
+        // integrating at the wake.
+        let time_to_power_s = time_to_power(&envelope, &cfg.tag.power, cfg.powerup_rate);
         let (t_peak, peak_amp) = envelope.peak_over_period(cfg.cib.grid);
         let peak_power_w = peak_amp * peak_amp;
 
         let mut outcome = SessionOutcome {
-            powered: powerup.powered,
-            time_to_power_s: powerup.time_to_power_s,
+            powered: time_to_power_s.is_some(),
+            time_to_power_s,
             command_decoded: false,
             rn16_decoded: false,
             correlation: 0.0,
             peak_power_w,
             orientation: trial.orientation,
         };
-        if !powerup.powered {
+        if !outcome.powered {
             return outcome;
         }
 

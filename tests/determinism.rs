@@ -4,7 +4,10 @@
 //! reassembles results in input order, so the outputs below must match
 //! exactly — not approximately — across 1, 2 and 8 threads.
 
-use ivn::core::experiment::{gain_vs_antennas_threads, peak_gain_cdf_threads};
+use ivn::core::experiment::{
+    gain_vs_antennas_threads, peak_gain_cdf_threads, range_vs_antennas_threads, RangePoint,
+};
+use ivn::core::scenario::{builtin, PlacementSpec, QuickFull, ScenarioKind, TagKind};
 use ivn::core::PAPER_OFFSETS_HZ;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -124,4 +127,40 @@ fn repeated_runs_are_bit_identical() {
     let a = peak_gain_cdf_threads(&PAPER_OFFSETS_HZ[..5], 32, 256, 9, 4);
     let b = peak_gain_cdf_threads(&PAPER_OFFSETS_HZ[..5], 32, 256, 9, 4);
     assert_eq!(a, b);
+}
+
+#[test]
+fn range_panels_in_one_sweep_equal_per_panel_runs() {
+    // Fig. 13 runs every (panel, antenna count) bisection as one work
+    // item. Each bisection keeps its own seed, so the flattened sweep must
+    // reproduce running each panel on its own, at any thread count.
+    // Water depths and few antennas keep the debug-build cost down; the
+    // miniature panel (range 0 at these antenna counts) is cheap, so it
+    // carries the second antenna count and the panels differ in length.
+    let water = PlacementSpec::WaterTank { depth_m: 0.10 };
+    let panel = |tag, n_max| {
+        let mut s = builtin("fig13")
+            .expect("builtin")
+            .with_placement(water.clone())
+            .with_tag(tag);
+        s.kind = ScenarioKind::Range {
+            n_max: QuickFull::same(n_max),
+        };
+        s
+    };
+    let panels = [panel(TagKind::Standard, 1), panel(TagKind::Miniature, 2)];
+    let bits = |rows: &[RangePoint]| -> Vec<(usize, u64)> {
+        rows.iter().map(|r| (r.n, r.range_m.to_bits())).collect()
+    };
+    let per_panel: Vec<_> = panels
+        .iter()
+        .map(|p| bits(&range_vs_antennas_threads(std::slice::from_ref(p), true, 1)[0]))
+        .collect();
+    assert!(per_panel[0].iter().all(|&(_, r)| f64::from_bits(r) > 0.0));
+    assert_eq!(per_panel[1].len(), 2);
+    for threads in THREAD_COUNTS {
+        let rows = range_vs_antennas_threads(&panels, true, threads);
+        let got: Vec<_> = rows.iter().map(|r| bits(r)).collect();
+        assert_eq!(got, per_panel, "{threads} threads");
+    }
 }
