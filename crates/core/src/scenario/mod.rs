@@ -679,19 +679,36 @@ impl ToJson for PolicySpec {
     }
 }
 
+/// Reads an optional Q field (frame size `2^Q`), which Gen2 caps at 15.
+fn q_field(value: &Json, key: &str, default: u8) -> Result<u8, JsonError> {
+    match opt_field::<usize>(value, key)? {
+        None => Ok(default),
+        Some(q) if q <= 15 => Ok(q as u8),
+        Some(q) => err(format!("policy field '{key}' must be at most 15, got {q}")),
+    }
+}
+
 impl FromJson for PolicySpec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let kind: String = field(value, "type")?;
         Ok(match kind.as_str() {
-            "adaptive" => PolicySpec::Adaptive {
-                q0: opt_field::<usize>(value, "q0")?.unwrap_or(4) as u8,
-                c: opt_field(value, "c")?.unwrap_or(0.3),
-            },
+            "adaptive" => {
+                let c: f64 = opt_field(value, "c")?.unwrap_or(0.3);
+                if !(c.is_finite() && c >= 0.0) {
+                    return err(format!(
+                        "policy field 'c' must be finite and non-negative, got {c}"
+                    ));
+                }
+                PolicySpec::Adaptive {
+                    q0: q_field(value, "q0", 4)?,
+                    c,
+                }
+            }
             "fixed" => PolicySpec::Fixed {
-                q: opt_field::<usize>(value, "q")?.unwrap_or(6) as u8,
+                q: q_field(value, "q", 6)?,
             },
             "schoute" => PolicySpec::Schoute {
-                q0: opt_field::<usize>(value, "q0")?.unwrap_or(4) as u8,
+                q0: q_field(value, "q0", 4)?,
             },
             other => return err(format!("unknown policy '{other}'")),
         })
@@ -1411,6 +1428,50 @@ mod tests {
             assert_eq!(back.build().name(), p.name());
         }
         assert!(PolicySpec::from_json(&Json::parse(r#"{"type":"aloha"}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn policy_specs_reject_out_of_range_q_and_c() {
+        let parse = |text: &str| PolicySpec::from_json(&Json::parse(text).unwrap());
+        // A cast to u8 would wrap these silently (256 → 0, 300 → 44).
+        for (text, field) in [
+            (r#"{"type":"adaptive","q0":256}"#, "'q0'"),
+            (r#"{"type":"adaptive","q0":16}"#, "'q0'"),
+            (r#"{"type":"fixed","q":300}"#, "'q'"),
+            (r#"{"type":"fixed","q":16}"#, "'q'"),
+            (r#"{"type":"schoute","q0":256}"#, "'q0'"),
+            (r#"{"type":"adaptive","c":-0.1}"#, "'c'"),
+        ] {
+            let e = parse(text).expect_err(text);
+            assert!(e.reason.contains(field), "{text}: {}", e.reason);
+        }
+        // JSON text cannot spell a non-finite number, but a built value can.
+        for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let value = Json::Obj(vec![
+                ("type".into(), Json::Str("adaptive".into())),
+                ("c".into(), Json::Num(c)),
+            ]);
+            let e = PolicySpec::from_json(&value).expect_err("non-finite c");
+            assert!(e.reason.contains("'c'"), "{c}: {}", e.reason);
+        }
+        // The bounds themselves are accepted.
+        assert_eq!(
+            parse(r#"{"type":"adaptive","q0":15,"c":0}"#).unwrap(),
+            PolicySpec::Adaptive { q0: 15, c: 0.0 }
+        );
+        assert_eq!(
+            parse(r#"{"type":"fixed","q":0}"#).unwrap(),
+            PolicySpec::Fixed { q: 0 }
+        );
+        assert_eq!(
+            parse(r#"{"type":"schoute","q0":15}"#).unwrap(),
+            PolicySpec::Schoute { q0: 15 }
+        );
+        // A scenario carrying a bad policy fails to parse as a whole.
+        assert!(Scenario::parse(
+            r#"{"kind":{"type":"inventory","population":{"count":8},"policy":{"type":"fixed","q":300}}}"#
+        )
+        .is_err());
     }
 
     #[test]

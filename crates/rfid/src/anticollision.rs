@@ -31,13 +31,26 @@ use ivn_runtime::rng::{Rng, StdRng};
 /// round (the Query's Q field), [`on_slot_outcome`](Self::on_slot_outcome)
 /// after every resolved slot, and [`on_round_end`](Self::on_round_end)
 /// when the frame is exhausted — slot-reactive policies adapt in the
-/// second hook, frame-by-frame estimators in the third.
+/// second hook, frame-by-frame estimators in the third. The population
+/// driver reports a run of `k` consecutive empty slots in one
+/// [`on_empty_slots`](Self::on_empty_slots) call instead of `k`
+/// per-slot calls.
 pub trait AntiCollision: std::fmt::Debug + Send {
     /// Q for the next Query (frame size `2^Q` slots).
     fn choose_q(&self) -> u8;
 
     /// Per-slot feedback during a round.
     fn on_slot_outcome(&mut self, outcome: &SlotOutcome);
+
+    /// Feedback for `k` consecutive empty slots. Must leave the policy
+    /// in exactly the state `k` calls of
+    /// `on_slot_outcome(&SlotOutcome::Empty)` would — the default does
+    /// just that; overrides only skip work.
+    fn on_empty_slots(&mut self, k: usize) {
+        for _ in 0..k {
+            self.on_slot_outcome(&SlotOutcome::Empty);
+        }
+    }
 
     /// End-of-round feedback with the frame's tallies.
     fn on_round_end(&mut self, stats: &RoundStats);
@@ -86,6 +99,18 @@ impl AntiCollision for AdaptiveQ {
         }
     }
 
+    fn on_empty_slots(&mut self, k: usize) {
+        let c = self.params.c;
+        for _ in 0..k {
+            // Once Qfp sits on the floor with a non-negative step, every
+            // further empty slot maps 0.0 to 0.0.
+            if self.qfp == 0.0 && c >= 0.0 {
+                break;
+            }
+            self.qfp = (self.qfp - c).max(0.0);
+        }
+    }
+
     fn on_round_end(&mut self, _stats: &RoundStats) {}
 
     fn name(&self) -> &'static str {
@@ -114,6 +139,8 @@ impl AntiCollision for FixedQ {
     }
 
     fn on_slot_outcome(&mut self, _outcome: &SlotOutcome) {}
+
+    fn on_empty_slots(&mut self, _k: usize) {}
 
     fn on_round_end(&mut self, _stats: &RoundStats) {}
 
@@ -149,6 +176,8 @@ impl AntiCollision for SchouteQ {
     }
 
     fn on_slot_outcome(&mut self, _outcome: &SlotOutcome) {}
+
+    fn on_empty_slots(&mut self, _k: usize) {}
 
     fn on_round_end(&mut self, stats: &RoundStats) {
         let backlog = SCHOUTE_BACKLOG_PER_COLLISION * stats.collisions as f64;

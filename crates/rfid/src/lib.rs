@@ -17,8 +17,9 @@
 //! * [`anticollision`] — the pluggable frame-sizing policies (adaptive
 //!   Q, fixed Q, Schoute backlog estimation) and the capture-effect
 //!   arbitration model,
-//! * [`population`] — an O(tags + slots) inventory driver for
-//!   population-scale experiments, bit-identical to the broadcast reader,
+//! * [`population`] — an inventory driver for population-scale
+//!   experiments whose rounds cost O(active · log active), independent of
+//!   the frame size `2^Q`, bit-identical to the broadcast reader,
 //! * [`backscatter`] — the physical reflection-coefficient model whose
 //!   frequency-agnosticism makes the paper's out-of-band reader possible,
 //! * [`link`] — link-timing budget (Tari, BLF, T1…T4) used to derive the

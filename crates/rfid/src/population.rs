@@ -1,4 +1,5 @@
-//! Population-scale inventory driver: O(tags + slots) per round.
+//! Population-scale inventory driver: O(active · log active) per round,
+//! independent of the frame size `2^Q`.
 //!
 //! [`crate::reader::Reader::run_round`] broadcasts every command to every
 //! tag, which is O(tags × slots) per round — faithful, but hopeless for
@@ -10,13 +11,26 @@
 //! tag's own draw order is bit-identical to the broadcast loop.
 //!
 //! [`inventory_population`] therefore draws every active tag's slot up
-//! front, buckets tags by slot with a stable counting sort (repliers
-//! stay in ascending tag order, which is the order the broadcast loop
-//! would have them reply in — this is what keeps the *reader-side*
-//! capture RNG byte-identical too), and then walks the frame slot by
-//! slot: empty, single (ACK + EPC), or collision (optionally arbitrated
-//! by the [`CaptureModel`]). The anti-collision policy sees exactly the
-//! same outcome sequence as it would from the broadcast reader.
+//! front and sorts the active tags by `(slot, tag index)`: repliers in a
+//! slot stay in ascending tag order, which is the order the broadcast
+//! loop would have them reply in — this is what keeps the *reader-side*
+//! capture RNG byte-identical too. It then visits only the occupied
+//! slots, in ascending order: single (ACK + EPC) or collision
+//! (optionally arbitrated by the [`CaptureModel`]). Each run of `k`
+//! empty slots between them is accounted in one step — `k` more empty
+//! slots in the round's tallies and one
+//! [`AntiCollision::on_empty_slots`]`(k)` call, which every policy must
+//! treat exactly like `k` calls of `on_slot_outcome(&Empty)`. The
+//! policy therefore ends each round in the same state as it would under
+//! the broadcast reader, while a round costs a sort of its active tags
+//! however large the frame (one collision-heavy round can push the
+//! adaptive Q to 15: a 32 768-slot frame for a few hundred tags).
+//!
+//! A read costs one EPC copy. The broadcast reader slices the EPC back
+//! out of the tag's PC + EPC + CRC-16 reply after checking the CRC;
+//! that reply is built from [`Tag::epc`] and is CRC-valid by
+//! construction, so the slice *is* `Tag::epc()` and the fast path never
+//! builds the reply.
 //!
 //! The driver requires single-read tags
 //! ([`Tag::set_single_read`](crate::tag::Tag::set_single_read)): without
@@ -41,6 +55,10 @@ pub fn inventory_population(
     tags: &mut [Tag],
     max_rounds: usize,
 ) -> InventoryOutcome {
+    assert!(
+        u32::try_from(tags.len()).is_ok(),
+        "tag indices must fit the low half of a sort key"
+    );
     let target = tags.iter().filter(|t| t.fast_active()).count();
     let mut out = InventoryOutcome {
         epcs: Vec::new(),
@@ -48,13 +66,9 @@ pub fn inventory_population(
         terminated: target == 0,
     };
 
-    // Scratch reused across rounds: active tag indices, their drawn
-    // slots, counting-sort boundaries, and the slot-ordered permutation.
-    let mut active: Vec<u32> = Vec::new();
-    let mut slots: Vec<u32> = Vec::new();
-    let mut starts: Vec<u32> = Vec::new();
-    let mut cursor: Vec<u32> = Vec::new();
-    let mut order: Vec<u32> = Vec::new();
+    // Scratch reused across rounds: one `slot << 32 | tag index` key per
+    // active tag, and a multi-reply slot's tag indices.
+    let mut keys: Vec<u64> = Vec::new();
     let mut repliers: Vec<usize> = Vec::new();
 
     for _ in 0..max_rounds {
@@ -62,68 +76,50 @@ pub fn inventory_population(
             break;
         }
         let q = policy.choose_q();
-        let n_slots = 1usize << q;
+        let n_slots = 1u64 << q;
 
-        active.clear();
-        for (i, t) in tags.iter().enumerate() {
+        keys.clear();
+        for (i, t) in tags.iter_mut().enumerate() {
             if t.fast_active() {
-                active.push(i as u32);
+                keys.push(u64::from(t.fast_draw_slot(q)) << 32 | i as u64);
             }
         }
-        slots.clear();
-        for &i in &active {
-            slots.push(tags[i as usize].fast_draw_slot(q));
-        }
-
-        // Stable counting sort of active tags by slot.
-        starts.clear();
-        starts.resize(n_slots + 1, 0);
-        for &s in &slots {
-            starts[s as usize + 1] += 1;
-        }
-        for s in 0..n_slots {
-            starts[s + 1] += starts[s];
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&starts[..n_slots]);
-        order.clear();
-        order.resize(active.len(), 0);
-        for (k, &s) in slots.iter().enumerate() {
-            order[cursor[s as usize] as usize] = active[k];
-            cursor[s as usize] += 1;
-        }
+        keys.sort_unstable();
 
         let mut stats = RoundStats::default();
-        for s in 0..n_slots {
-            let (lo, hi) = (starts[s] as usize, starts[s + 1] as usize);
-            let outcome = match hi - lo {
-                0 => SlotOutcome::Empty,
-                1 => {
-                    let idx = order[lo] as usize;
-                    let _rn = tags[idx].fast_draw_rn16();
-                    read_tag(tags, idx)
+        // First slot not yet accounted for.
+        let mut next = 0u64;
+        let mut lo = 0;
+        while lo < keys.len() {
+            let slot = keys[lo] >> 32;
+            let mut hi = lo + 1;
+            while hi < keys.len() && keys[hi] >> 32 == slot {
+                hi += 1;
+            }
+            skip_empty(policy, &mut stats, slot - next);
+            next = slot + 1;
+            let outcome = if hi - lo == 1 {
+                let idx = tag_index(keys[lo]);
+                tags[idx].fast_draw_rn16();
+                read_tag(tags, idx)
+            } else {
+                // Every replier in the slot draws its RN16 (index order —
+                // their RNGs are private, but this mirrors the broadcast
+                // schedule exactly).
+                repliers.clear();
+                repliers.extend(keys[lo..hi].iter().map(|&k| tag_index(k)));
+                for &ti in &repliers {
+                    tags[ti].fast_draw_rn16();
                 }
-                _ => {
-                    // Every replier in the slot draws its RN16 (index
-                    // order — their RNGs are private, but this mirrors
-                    // the broadcast schedule exactly).
-                    for &ti in &order[lo..hi] {
-                        tags[ti as usize].fast_draw_rn16();
+                match capture
+                    .as_deref_mut()
+                    .and_then(|cap| cap.arbitrate(&repliers))
+                {
+                    Some(k) => {
+                        stats.captures += 1;
+                        read_tag(tags, repliers[k])
                     }
-                    match capture.as_deref_mut() {
-                        Some(cap) => {
-                            repliers.clear();
-                            repliers.extend(order[lo..hi].iter().map(|&i| i as usize));
-                            match cap.arbitrate(&repliers) {
-                                Some(k) => {
-                                    stats.captures += 1;
-                                    read_tag(tags, repliers[k])
-                                }
-                                None => SlotOutcome::Collision,
-                            }
-                        }
-                        None => SlotOutcome::Collision,
-                    }
+                    None => SlotOutcome::Collision,
                 }
             };
             policy.on_slot_outcome(&outcome);
@@ -131,7 +127,9 @@ pub fn inventory_population(
             if let SlotOutcome::Inventoried(epc) = outcome {
                 out.epcs.push(epc);
             }
+            lo = hi;
         }
+        skip_empty(policy, &mut stats, n_slots - next);
         policy.on_round_end(&stats);
         out.rounds.push(stats);
         if out.epcs.len() == target {
@@ -141,12 +139,25 @@ pub fn inventory_population(
     out
 }
 
-/// ACKs a replier: the EPC reply is CRC-valid by construction, so this
-/// is the Inventoried arm of the broadcast reader's `resolve_slot`.
+/// The tag index packed into the low half of a sort key.
+fn tag_index(key: u64) -> usize {
+    (key & 0xFFFF_FFFF) as usize
+}
+
+/// Accounts a run of `k` empty slots (no-op for `k == 0`).
+fn skip_empty(policy: &mut dyn AntiCollision, stats: &mut RoundStats, k: u64) {
+    if k > 0 {
+        stats.empty += k as usize;
+        policy.on_empty_slots(k as usize);
+    }
+}
+
+/// ACKs a replier: the Inventoried arm of the broadcast reader's
+/// `resolve_slot`. Its EPC reply is CRC-valid by construction, and the
+/// EPC sliced out of it is [`Tag::epc`] — see the module docs.
 fn read_tag(tags: &mut [Tag], idx: usize) -> SlotOutcome {
-    let bits = tags[idx].epc_reply_bits();
     tags[idx].fast_mark_inventoried();
-    SlotOutcome::Inventoried(bits[16..bits.len() - 16].to_vec())
+    SlotOutcome::Inventoried(tags[idx].epc().to_vec())
 }
 
 #[cfg(test)]
@@ -170,15 +181,22 @@ mod tests {
 
     #[test]
     fn fast_path_matches_broadcast_reader() {
-        for &n in &[1usize, 2, 5, 8, 17, 33] {
-            let mut naive_tags = pop(n);
-            let mut reader = Reader::new(Session::S0, QAlgorithm { q0: 4, c: 0.3 });
-            let naive = reader.inventory_all(&mut naive_tags, 64);
+        let arms: [fn() -> Box<dyn AntiCollision>; 3] = [
+            || Box::new(AdaptiveQ::new(QAlgorithm { q0: 4, c: 0.3 })),
+            || Box::new(FixedQ::new(3)),
+            || Box::new(SchouteQ::new(4)),
+        ];
+        for arm in arms {
+            for &n in &[1usize, 2, 5, 8, 17, 33] {
+                let mut naive_tags = pop(n);
+                let mut reader = Reader::with_policy(Session::S0, arm());
+                let naive = reader.inventory_all(&mut naive_tags, 64);
 
-            let mut fast_tags = pop(n);
-            let mut policy = AdaptiveQ::new(QAlgorithm { q0: 4, c: 0.3 });
-            let fast = inventory_population(&mut policy, None, &mut fast_tags, 64);
-            assert_eq!(naive, fast, "population {n} diverged");
+                let mut fast_tags = pop(n);
+                let mut policy = arm();
+                let fast = inventory_population(policy.as_mut(), None, &mut fast_tags, 64);
+                assert_eq!(naive, fast, "{} population {n} diverged", policy.name());
+            }
         }
     }
 

@@ -241,21 +241,26 @@ impl Tag {
 
     // ---- population fast-path hooks ---------------------------------
     //
-    // `crate::population` runs rounds in O(tags + slots) by bucketing
-    // drawn slots instead of broadcasting every command to every tag.
-    // These helpers replay *exactly* the RNG draw sequence `process`
-    // would perform for an eligible tag in a collision-free protocol
-    // exchange — slot draw at Query (skipped when q == 0), then one RN16
-    // draw when its slot arrives — which is what keeps the fast path
-    // bit-identical to the naive loop.
+    // `crate::population` runs a round in O(active · log active),
+    // independent of the frame size 2^Q, by sorting the active tags'
+    // drawn slots and visiting only occupied ones instead of
+    // broadcasting every command to every tag. These helpers replay
+    // *exactly* the RNG draw sequence `process` would perform for an
+    // eligible tag in a collision-free protocol exchange — slot draw at
+    // Query (skipped when q == 0), then one RN16 draw when its slot
+    // arrives — which is what keeps the fast path bit-identical to the
+    // naive loop. A fast-path read copies `epc()`: it is exactly the
+    // slice of `epc_reply_bits()` between the PC word and the CRC-16, so
+    // the reply is never built. The hooks are public so that reference
+    // drivers in the equivalence tests can replay the same draws.
 
     /// Whether the tag would participate in the next Query.
-    pub(crate) fn fast_active(&self) -> bool {
+    pub fn fast_active(&self) -> bool {
         self.powered && self.state != TagState::Parked && !(self.single_read && self.inventoried)
     }
 
     /// Mirrors the Query slot draw (no draw at q == 0).
-    pub(crate) fn fast_draw_slot(&mut self, q: u8) -> u32 {
+    pub fn fast_draw_slot(&mut self, q: u8) -> u32 {
         if q == 0 {
             0
         } else {
@@ -264,13 +269,13 @@ impl Tag {
     }
 
     /// Mirrors the RN16 draw a tag performs when its slot counter hits 0.
-    pub(crate) fn fast_draw_rn16(&mut self) -> u16 {
+    pub fn fast_draw_rn16(&mut self) -> u16 {
         self.rn16 = self.rng.random();
         self.rn16
     }
 
     /// Marks a successful ACK (single-read bookkeeping).
-    pub(crate) fn fast_mark_inventoried(&mut self) {
+    pub fn fast_mark_inventoried(&mut self) {
         self.inventoried = true;
     }
 }
