@@ -31,7 +31,7 @@
 //! resynchronized from exact trig every [`RENORM_INTERVAL`] samples so
 //! rounding drift cannot compound across the grid.
 
-use ivn_dsp::complex::Complex64;
+use ivn_dsp::complex::{norm_confirm_threshold, Complex64};
 use ivn_dsp::envelope::parabolic_peak;
 use ivn_dsp::fft;
 use ivn_runtime::rng::Rng;
@@ -162,28 +162,18 @@ pub fn fft_pays_off(n_tones: usize, grid: usize, offsets_hz: &[f64]) -> bool {
             .all(|f| f.fract() == 0.0 && f.abs() < 4.5e15)
 }
 
-/// Smallest grid maximum `|z|²` for which [`argmax_norm`]'s confirmation
-/// band is provably wide enough: above it, the absolute error of a
-/// subnormal component square is negligible next to the band. Below it
-/// (or with a non-finite point) every point is confirmed by `hypot`.
-const CONFIRM_FLOOR: f64 = 1e-290;
-
-/// Relative width of [`argmax_norm`]'s confirmation band. `|z|²` and
-/// `hypot` each carry a few ulps (≲ 1e-15) of relative rounding, so the
-/// `hypot` argmax always lies within this band of the `|z|²` maximum.
-const CONFIRM_BAND: f64 = 1e-12;
-
 /// Index of the largest `|z|` in `acc`, ties going to the last:
 /// exactly the index that
 /// `acc.iter().map(|z| z.norm()).enumerate().max_by(|a, b| a.1.total_cmp(&b.1))`
 /// returns, without a `hypot` per point.
 ///
 /// The scan compares `|z|²`, then evaluates `hypot` only on the points
-/// within 1e-12 (relative) of the `|z|²` maximum and keeps
-/// the last `hypot` maximum among them. Every point outside the band has
+/// at or above [`norm_confirm_threshold`] of the `|z|²` maximum and
+/// keeps the last `hypot` maximum among them. Every point below it has
 /// a strictly smaller `hypot` than the `|z|²` winner, so the confirmed
 /// index is the `hypot` argmax bit for bit — exact ties included. A grid
-/// whose maximum `|z|²` is non-finite or below 1e-290 is confirmed by
+/// with a non-finite `|z|²`, or whose maximum is below
+/// [`CONFIRM_FLOOR`](ivn_dsp::complex::CONFIRM_FLOOR), is confirmed by
 /// `hypot` everywhere.
 ///
 /// # Panics
@@ -197,13 +187,16 @@ pub fn argmax_norm(acc: &[Complex64]) -> usize {
         all_finite &= p.is_finite();
         best_sqr = best_sqr.max(p);
     }
-    let confirm_all = !all_finite || best_sqr < CONFIRM_FLOOR;
-    let band = best_sqr * (1.0 - CONFIRM_BAND);
+    let threshold = if all_finite {
+        norm_confirm_threshold(best_sqr)
+    } else {
+        None
+    };
     // `max_by`'s fold: the running maximum yields to any value that
     // compares greater than or equal.
     let mut best: Option<(usize, f64)> = None;
     for (i, z) in acc.iter().enumerate() {
-        if confirm_all || z.norm_sqr() >= band {
+        if threshold.is_none_or(|t| z.norm_sqr() >= t) {
             let y = z.norm();
             let replace = match best {
                 Some((_, b)) => y.total_cmp(&b).is_ge(),

@@ -21,7 +21,7 @@
 //! - per-stage memory is bounded by the block size, never by the total
 //!   sample count ([`Footprint`] measures this and `verify.sh` gates it).
 
-use crate::complex::Complex64;
+use crate::complex::{norm_confirm_threshold, Complex64};
 
 /// Default block size for streaming drivers: large enough to amortize
 /// per-block overhead, small enough that per-stage scratch stays cache
@@ -119,6 +119,9 @@ pub fn accumulate_scaled(acc: &mut [Complex64], block: &[Complex64], gain: Compl
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeakMeter {
     peak: f64,
+    /// Largest `|z|²` among the all-finite blocks seen so far; that
+    /// sample's `hypot` is already folded into `peak`.
+    peak_sqr: f64,
 }
 
 impl PeakMeter {
@@ -134,9 +137,48 @@ impl PeakMeter {
     }
 
     /// Folds a block of complex samples (by magnitude).
+    ///
+    /// Bit-identical to folding `s.norm()` over every sample, at a
+    /// fraction of the `hypot` calls: a first pass takes the block's
+    /// largest `|z|²`, and only samples at or above the
+    /// [`norm_confirm_threshold`] of the running `|z|²` maximum are
+    /// confirmed by `hypot` — any other sample's magnitude is strictly
+    /// below a sample already folded in. A block holding a non-finite
+    /// `|z|²`, or whose maximum is tiny, confirms every sample.
     pub fn observe_block(&mut self, block: &[Complex64]) {
+        // Eight independent accumulators keep the scan vectorizable.
+        let mut max = [0.0f64; 8];
+        let mut all_finite = [true; 8];
+        let rows = block.chunks_exact(8);
+        let mut fold = |j: usize, s: &Complex64| {
+            let p = s.norm_sqr();
+            if p > max[j] {
+                max[j] = p;
+            }
+            all_finite[j] &= p.is_finite();
+        };
+        for (j, s) in rows.remainder().iter().enumerate() {
+            fold(j, s);
+        }
+        for row in rows {
+            for (j, s) in row.iter().enumerate() {
+                fold(j, s);
+            }
+        }
+        let finite = all_finite.iter().all(|&f| f);
+        let max_sqr = max.iter().fold(self.peak_sqr, |m, &p| m.max(p));
+        let threshold = if finite {
+            norm_confirm_threshold(max_sqr)
+        } else {
+            None
+        };
         for s in block {
-            self.observe(s.norm());
+            if threshold.is_none_or(|t| s.norm_sqr() >= t) {
+                self.observe(s.norm());
+            }
+        }
+        if finite {
+            self.peak_sqr = max_sqr;
         }
     }
 

@@ -270,6 +270,32 @@ impl<'a> Sum<&'a Complex64> for Complex64 {
     }
 }
 
+/// Smallest maximum `|z|²` for which the [`norm_confirm_threshold`] band
+/// is provably wide enough: above it, the absolute error of a subnormal
+/// component square is negligible next to the band. Below it (or with a
+/// non-finite point) every point must be confirmed by `hypot`.
+pub const CONFIRM_FLOOR: f64 = 1e-290;
+
+/// Relative width of the [`norm_confirm_threshold`] band. `|z|²` and
+/// `hypot` each carry a few ulps (≲ 1e-15) of relative rounding, so the
+/// `hypot` maximum always lies within this band of the `|z|²` maximum.
+pub const CONFIRM_BAND: f64 = 1e-12;
+
+/// The `|z|²` threshold below which a point cannot hold the largest
+/// [`Complex64::norm`] of a set whose largest `|z|²` is `max_sqr`.
+///
+/// Every point with `norm_sqr() < threshold` has a `hypot` strictly
+/// smaller than the `hypot` of the `|z|²` winner, so a maximum (or
+/// argmax) of `norm()` needs `hypot` only on the points at or above the
+/// threshold and stays bit-identical to evaluating it everywhere.
+/// Returns `None` — confirm every point — when `max_sqr` is non-finite
+/// or below [`CONFIRM_FLOOR`]. A caller whose points include a
+/// non-finite `|z|²` must confirm every point too (`f64::max` skips NaN).
+#[inline]
+pub fn norm_confirm_threshold(max_sqr: f64) -> Option<f64> {
+    (max_sqr.is_finite() && max_sqr >= CONFIRM_FLOOR).then_some(max_sqr * (1.0 - CONFIRM_BAND))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -170,6 +170,15 @@ impl PhasorRotor {
     /// `fill` calls: lane state depends only on the absolute sample
     /// index, and resyncs fire at fixed absolute positions.
     pub fn fill(&mut self, out: &mut [Complex64]) {
+        self.fill_scaled(out, 1.0);
+    }
+
+    /// Fills `out` with the next `out.len()` phasors, each scaled by the
+    /// real gain `g`: `out[k] = Complex64::new(re·g, im·g)`, the same
+    /// multiply as `phasor * g`, so the bits equal [`PhasorRotor::fill`]
+    /// followed by a scale. Fusing the gain into the row loop lets the
+    /// sdr lane write its PA output straight into the caller's block.
+    pub fn fill_scaled(&mut self, out: &mut [Complex64], g: f64) {
         let n = out.len();
         let mut i = 0;
         while i < n {
@@ -181,28 +190,33 @@ impl PhasorRotor {
             let end = i + (self.resync - self.win_pos).min(n - i);
             // Leading partial row (resuming mid-row after a block split).
             while i < end && !self.win_pos.is_multiple_of(LANES) {
-                out[i] = self.step_lane(self.win_pos % LANES);
+                out[i] = self.step_lane(self.win_pos % LANES) * g;
                 self.win_pos += 1;
                 i += 1;
             }
             // Full rows: 8 independent multiplies per row — the
-            // auto-vectorized steady state.
-            while end - i >= LANES {
+            // auto-vectorized steady state. Lane state stays in locals
+            // so it lives in registers across the rows.
+            let rows = (end - i) / LANES * LANES;
+            let (mut lre, mut lim) = (self.lre, self.lim);
+            let (sre, sim) = (self.srot_re, self.srot_im);
+            for row in out[i..i + rows].chunks_exact_mut(LANES) {
                 for j in 0..LANES {
-                    out[i + j] = Complex64::new(self.lre[j], self.lim[j]);
+                    row[j] = Complex64::new(lre[j] * g, lim[j] * g);
                 }
                 for j in 0..LANES {
-                    let re = self.lre[j] * self.srot_re - self.lim[j] * self.srot_im;
-                    let im = self.lre[j] * self.srot_im + self.lim[j] * self.srot_re;
-                    self.lre[j] = re;
-                    self.lim[j] = im;
+                    let re = lre[j] * sre - lim[j] * sim;
+                    let im = lre[j] * sim + lim[j] * sre;
+                    lre[j] = re;
+                    lim[j] = im;
                 }
-                self.win_pos += LANES;
-                i += LANES;
             }
+            (self.lre, self.lim) = (lre, lim);
+            self.win_pos += rows;
+            i += rows;
             // Trailing partial row (block ends mid-row).
             while i < end {
-                out[i] = self.step_lane(self.win_pos % LANES);
+                out[i] = self.step_lane(self.win_pos % LANES) * g;
                 self.win_pos += 1;
                 i += 1;
             }

@@ -130,6 +130,9 @@ impl TxBank {
     /// ([`EmitterLane`]): the whole profile is pushed as one block and
     /// the lane flushed, so batch and streaming output are identical by
     /// construction.
+    ///
+    /// # Panics
+    /// Panics if a profile amplitude the emission reads is not finite.
     pub fn emit(&self, i: usize, profile: &[f64], drive: f64) -> IqBuffer {
         let mut lane = EmitterLane::new(self, i, drive);
         let mut out = Vec::new();

@@ -22,7 +22,7 @@
 //! and reassembled in device order, so the output is bit-identical at
 //! any worker count.
 //!
-//! ## The trig-free hot loop
+//! ## The run-length hot loop
 //!
 //! The emission inner loop used to be the slowest stage of the whole
 //! sample path (~1.5 MS/s vs em's 130 MS/s): per output sample it paid
@@ -30,10 +30,14 @@
 //! `powf` in the PA's polar round-trip. The lane now rides a
 //! [`PhasorRotor`] — the carrier phase and the soft offset fold into
 //! one lane-batched rotator with periodic exact resync — and the PA
-//! collapses to a memoized real gain: command profiles are long runs
-//! of constant amplitude (1.0 with 0.0 notches), so `am_am` is
-//! recomputed only when the profile level actually changes. No libm
-//! call survives on the per-sample path.
+//! collapses to a real gain. Command profiles are long runs of constant
+//! amplitude (1.0 with 0.0 notches), so each block is split into runs
+//! of bit-equal amplitude (read through the trigger shift; the stretches
+//! outside the command read 1.0). Each run looks its PA gain up once in
+//! a one-entry memo and hands it to [`PhasorRotor::fill_scaled`], which
+//! writes `phasor · gain` straight into the lane's output block inside
+//! its 8-wide row loop: no intermediate buffer, no per-sample branch, no
+//! libm call. Non-finite profile amplitudes are rejected once per run.
 //!
 //! The rotator output differs from the old scalar path only by the
 //! recurrence's bounded rounding (≤ 1e-12 per resync window);
@@ -49,10 +53,6 @@ use ivn_dsp::rotor::PhasorRotor;
 use ivn_runtime::pool::WorkerPool;
 use std::sync::Arc;
 
-/// Per-lane scratch block length: bounds rotor scratch at O(block) even
-/// when a whole-buffer `emit` asks for one huge block.
-const SCRATCH_BLOCK: usize = 4096;
-
 /// One device's streaming emitter: carries rotator phase, trigger
 /// shift and profile history across block boundaries.
 #[derive(Debug, Clone)]
@@ -62,6 +62,8 @@ pub struct EmitterLane {
     rotor: PhasorRotor,
     pa: PowerAmp,
     drive: f64,
+    /// Device index in the bank (named in profile panics).
+    device: usize,
     /// Trigger offset as a whole-sample profile shift (positive = the
     /// device fires late and reads older profile samples).
     shift: i64,
@@ -75,11 +77,9 @@ pub struct EmitterLane {
     hist_start: usize,
     pushed: usize,
     next: usize,
-    /// Reusable rotor output scratch.
-    phasors: Vec<Complex64>,
-    /// Last profile amplitude seen / the PA gain computed for it.
-    memo_amp: f64,
-    memo_gain: f64,
+    /// Bits of the last profile amplitude whose PA gain was computed,
+    /// and that gain.
+    memo: Option<(u64, f64)>,
 }
 
 impl EmitterLane {
@@ -95,6 +95,7 @@ impl EmitterLane {
             ),
             pa: dev.pa,
             drive,
+            device: i,
             shift,
             latency: (-shift).max(0) as usize,
             lookback: shift.max(0) as usize,
@@ -102,9 +103,7 @@ impl EmitterLane {
             hist_start: 0,
             pushed: 0,
             next: 0,
-            phasors: Vec::new(),
-            memo_amp: f64::NAN,
-            memo_gain: 0.0,
+            memo: None,
         }
     }
 
@@ -130,47 +129,74 @@ impl EmitterLane {
     /// length once known (`flush`); indices outside `[0, total)` read
     /// as 1.0 — outside the command the carrier stays on.
     ///
-    /// Hot path: the rotor fills a phasor scratch block (one complex
-    /// multiply per sample, auto-vectorized rows), and the PA reduces
-    /// to a real gain memoized on the profile level, so a run of equal
-    /// amplitudes costs one multiply per sample and zero libm calls.
+    /// Hot path: the block splits into runs of bit-equal amplitude, the
+    /// PA gain is looked up once per run, and the rotor writes
+    /// `phasor · gain` straight into `out` — one complex scale per
+    /// sample and zero libm calls on a constant run.
+    ///
+    /// # Panics
+    /// Panics if a profile amplitude is not finite.
     fn emit_samples(&mut self, count: usize, total: Option<usize>, out: &mut Vec<Complex64>) {
         if count == 0 {
             return;
         }
         let _span = ivn_runtime::span!("sdr.emit_ns");
         ivn_runtime::obs_count!("sdr.emissions", 1);
-        out.reserve(count);
+        let mut at = out.len();
+        out.resize(at + count, Complex64::ZERO);
         let end = self.next + count;
         while self.next < end {
-            let take = SCRATCH_BLOCK.min(end - self.next);
-            self.phasors.clear();
-            self.phasors.resize(take, Complex64::ZERO);
-            self.rotor.fill(&mut self.phasors);
-            for j in 0..take {
-                let k = self.next + j;
-                let idx = k as i64 - self.shift;
-                let amp = if idx < 0 || total.is_some_and(|n| idx as usize >= n) {
-                    // Outside the command: carrier stays on at full level.
-                    1.0
-                } else {
-                    let idx = idx as usize;
-                    debug_assert!(
-                        idx >= self.hist_start && idx < self.hist_start + self.hist.len(),
-                        "profile index {idx} outside history window"
-                    );
-                    self.hist[idx - self.hist_start]
-                };
-                if amp.to_bits() != self.memo_amp.to_bits() {
-                    self.memo_amp = amp;
-                    let a = amp * self.drive;
-                    let g = self.pa.am_am(a.abs());
-                    self.memo_gain = if a.is_sign_negative() { -g } else { g };
-                }
-                out.push(self.phasors[j] * self.memo_gain);
-            }
-            self.next += take;
+            let left = end - self.next;
+            let idx = self.next as i64 - self.shift;
+            let (amp, run) = if idx < 0 {
+                // Before the command: carrier stays on at full level.
+                (1.0, left.min(idx.unsigned_abs() as usize))
+            } else if total.is_some_and(|n| idx as usize >= n) {
+                // After the command.
+                (1.0, left)
+            } else {
+                let idx = idx as usize;
+                debug_assert!(
+                    idx >= self.hist_start && idx < self.hist_start + self.hist.len(),
+                    "profile index {idx} outside history window"
+                );
+                let limit = total.map_or(left, |n| left.min(n - idx));
+                let from = idx - self.hist_start;
+                let window = &self.hist[from..from + limit];
+                let amp = window[0];
+                assert!(
+                    amp.is_finite(),
+                    "sdr device {}: non-finite drive profile amplitude {amp} at sample {idx}",
+                    self.device
+                );
+                let bits = amp.to_bits();
+                let run = window
+                    .iter()
+                    .position(|v| v.to_bits() != bits)
+                    .unwrap_or(limit);
+                (amp, run)
+            };
+            let gain = self.gain(amp);
+            self.rotor.fill_scaled(&mut out[at..at + run], gain);
+            at += run;
+            self.next += run;
         }
+    }
+
+    /// The PA's real gain for profile amplitude `amp`, memoized on the
+    /// amplitude's bits (profiles are long runs of a few levels).
+    fn gain(&mut self, amp: f64) -> f64 {
+        let bits = amp.to_bits();
+        if let Some((memo_bits, gain)) = self.memo {
+            if memo_bits == bits {
+                return gain;
+            }
+        }
+        let a = amp * self.drive;
+        let g = self.pa.am_am(a.abs());
+        let gain = if a.is_sign_negative() { -g } else { g };
+        self.memo = Some((bits, gain));
+        gain
     }
 
     /// Drops history the emission point has moved past.
@@ -336,18 +362,12 @@ impl BankStreamer {
         self.slots.iter().map(|s| s.buf.as_slice())
     }
 
-    /// Largest per-lane buffer currently held (scratch block, rotor
-    /// phasor scratch, or profile history), in samples — the footprint
-    /// probe for the sdr stage.
+    /// Largest per-lane buffer currently held (output block or profile
+    /// history), in samples — the footprint probe for the sdr stage.
     pub fn peak_lane_footprint(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| {
-                s.buf
-                    .len()
-                    .max(s.lane.history_len())
-                    .max(s.lane.phasors.len())
-            })
+            .map(|s| s.buf.len().max(s.lane.history_len()))
             .max()
             .unwrap_or(0)
     }
@@ -422,6 +442,18 @@ mod tests {
                 assert_eq!(got, want.samples(), "device {i} at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sdr device 0: non-finite drive profile amplitude NaN at sample 0")]
+    fn rejects_all_nan_profile() {
+        bank(&ClockDistribution::octoclock(), 3).emit(0, &[f64::NAN; 8], 0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "sdr device 2: non-finite drive profile amplitude NaN at sample 1")]
+    fn rejects_nan_after_a_level() {
+        bank(&ClockDistribution::octoclock(), 3).emit(2, &[1.0, f64::NAN], 0.05);
     }
 
     #[test]
