@@ -36,10 +36,11 @@ use ivn_core::PAPER_OFFSETS_HZ;
 use ivn_runtime::bench::{black_box, Bench};
 use ivn_runtime::json::{Json, ToJson};
 use ivn_runtime::obs;
-use ivn_runtime::par;
+use ivn_runtime::pool::num_threads;
 use ivn_runtime::rng::StdRng;
 use ivn_runtime::telemetry;
 use ivn_runtime::trace;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 42;
 const GRID: usize = 1024;
@@ -133,6 +134,40 @@ fn dispatch_workload(i: usize) -> u64 {
         x ^= x << 17;
     }
     x
+}
+
+/// The spawn-per-call baseline for the dispatch bench: `threads` fresh
+/// scoped threads pull indices `0..n` from a shared cursor and the
+/// results are reassembled in index order. Nothing in the workspace
+/// dispatches this way; it is kept only to price what the persistent
+/// pool saves per call.
+fn spawn_dispatch(threads: usize, n: usize) -> Vec<u64> {
+    let cursor = AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return local;
+                        }
+                        local.push((i, dispatch_workload(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("spawned worker"))
+            .collect()
+    });
+    let mut out = vec![0; n];
+    for (i, v) in parts.into_iter().flatten() {
+        out[i] = v;
+    }
+    out
 }
 
 /// One representative, seeded workload per pipeline stage. Each returns a
@@ -396,7 +431,7 @@ fn main() -> std::process::ExitCode {
         .cloned();
     let fast = std::env::var("IVN_BENCH_FAST").is_ok_and(|v| v == "1");
     let trials = if fast { 64 } else { 400 };
-    let threads = par::num_threads();
+    let threads = num_threads();
     let offsets = &PAPER_OFFSETS_HZ[..5];
 
     // The parallel path must change only how fast the answer arrives:
@@ -451,8 +486,8 @@ fn main() -> std::process::ExitCode {
     let speedup = serial_ns / parallel_ns;
     println!("worker pool width: {threads}, widest-sweep speedup: {speedup:.2}x");
 
-    // Dispatch amortization: identical chunked work through freshly
-    // spawned scoped threads vs the persistent pool. This isolates the
+    // Dispatch amortization: identical work through freshly spawned
+    // scoped threads vs the persistent pool. This isolates the
     // fixed cost the pool exists to remove — on a single-core host the
     // wall-clock sweep above cannot show parallel speedup, but the
     // dispatch delta is real on any machine.
@@ -466,11 +501,14 @@ fn main() -> std::process::ExitCode {
             expect,
             "pooled dispatch diverged from inline"
         );
+        assert_eq!(
+            spawn_dispatch(8, items.len()),
+            expect,
+            "spawned dispatch diverged from inline"
+        );
         let spawn_ns = b
             .bench("pool/spawn_dispatch_x8", || {
-                black_box(par::par_map_threads(8, &items, |_, &i| {
-                    dispatch_workload(i)
-                }))
+                black_box(spawn_dispatch(8, items.len()))
             })
             .median_ns;
         let pooled_ns = b

@@ -339,7 +339,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     let dir = args.base.as_deref().ok_or("campaign needs a directory")?;
     let scenarios = campaign::load_dir(Path::new(dir))?;
     let threads = if args.threads == 0 {
-        ivn_runtime::par::num_threads()
+        ivn_runtime::pool::num_threads()
     } else {
         args.threads
     };

@@ -18,7 +18,6 @@ use ivn_core::inventory::InventoryExperiment;
 use ivn_core::scenario::{PolicySpec, Scenario, ScenarioKind, TagPopulation};
 use ivn_dsp::stats::Summary;
 use ivn_runtime::json::{Json, ToJson};
-use ivn_runtime::par;
 use ivn_runtime::pool::WorkerPool;
 use ivn_runtime::rng::StdRng;
 use std::sync::Arc;
@@ -68,7 +67,10 @@ pub fn render(s: &Scenario, quick: bool) -> Result<String, String> {
     let mut policies_json: Vec<Json> = Vec::new();
     for arm in policy_arms(policy) {
         let arm_exp = exp.with_policy(arm.clone());
-        let runs = par::ensemble_threads(1, trials, s.seed, |rng, _| arm_exp.run_trial(rng));
+        let root = StdRng::seed_from_u64(s.seed);
+        let runs: Vec<_> = (0..trials)
+            .map(|i| arm_exp.run_trial(&root.fork(i as u64)))
+            .collect();
         let rounds: Vec<f64> = runs
             .iter()
             .filter(|r| r.terminated)

@@ -8,12 +8,15 @@
 //! (`*_threads`) remain for determinism tests
 //! and micro-benchmarks.
 //!
-//! All Monte-Carlo loops run on the `ivn-runtime` worker pool: trial `i`
-//! draws from an RNG stream forked off the campaign seed
-//! (`StdRng::seed_from_u64(seed).fork(i)`), so the results are
-//! byte-identical at any worker-thread count — including the serial
-//! fallback. The `*_threads` variants take an explicit thread count; the
-//! plain forms use [`ivn_runtime::par::num_threads`].
+//! All Monte-Carlo loops run on the `ivn-runtime` worker pool, the
+//! workspace's one executor: trial `i` draws from an RNG stream forked
+//! off the campaign seed (`StdRng::seed_from_u64(seed).fork(i)`), so the
+//! results are byte-identical at any worker-thread count — including the
+//! serial fallback. Pool jobs are `'static`, so each sweep moves a clone
+//! of the small config it needs (`CibConfig`, `TagSpec`, `Placement`,
+//! `IvnSystem`) into its trial closure. The `*_threads` variants take an
+//! explicit thread count; the plain forms use
+//! [`ivn_runtime::pool::num_threads`].
 
 use crate::baselines::{Beamformer, BlindCoherent, CibBeamformer, CoherentMrt, SingleAntenna};
 use crate::body::{Placement, TagSpec};
@@ -25,9 +28,10 @@ use ivn_dsp::complex::Complex64;
 use ivn_dsp::stats::{Ecdf, Summary};
 use ivn_dsp::units::dbm_to_watts;
 use ivn_em::medium::Medium;
-use ivn_runtime::par;
+use ivn_runtime::pool::{self, num_threads, WorkerPool};
 use ivn_runtime::rng::{Rng, StdRng};
 use std::f64::consts::TAU;
+use std::sync::Arc;
 
 /// Draws `n` unit-amplitude blind channels.
 pub fn blind_channels<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<Complex64> {
@@ -65,7 +69,7 @@ pub fn faded_channels<R: Rng + ?Sized>(rng: &mut R, n: usize, k_factor: f64) -> 
 /// Monte-Carlo CDF of the peak power gain for an offset plan under random
 /// phases (`trials` draws), on the default worker-pool width.
 pub fn peak_gain_cdf(offsets_hz: &[f64], trials: usize, grid: usize, seed: u64) -> Ecdf {
-    peak_gain_cdf_threads(offsets_hz, trials, grid, seed, par::num_threads())
+    peak_gain_cdf_threads(offsets_hz, trials, grid, seed, num_threads())
 }
 
 /// [`peak_gain_cdf`] with an explicit worker-thread count. The result is
@@ -85,11 +89,9 @@ pub fn peak_gain_cdf_threads(
         grid,
     };
     let n = offsets_hz.len();
-    // Dispatched on the persistent pool: the sweep is issued per figure
-    // row and per campaign scenario, so spawn amortization matters. The
-    // closure owns its config (`move`) — the pool's workers outlive this
-    // stack frame.
-    let samples = par::ensemble_pool(threads, trials, seed, move |rng, _| {
+    // The closure owns its config (`move`): the pool's workers outlive
+    // this stack frame.
+    let samples = pool::ensemble(threads, trials, seed, move |rng, _| {
         cfg.received_peak_power(&blind_channels(rng, n))
     });
     Ecdf::new(samples)
@@ -162,7 +164,7 @@ pub fn gain_vs_antennas(s: &Scenario, quick: bool) -> Vec<GainVsAntennas> {
             s.kind.type_name()
         )
     };
-    gain_vs_antennas_threads(n_max, s.trial_count(quick), s.seed, par::num_threads())
+    gain_vs_antennas_threads(n_max, s.trial_count(quick), s.seed, num_threads())
 }
 
 /// Positional kernel behind [`gain_vs_antennas`] with an explicit
@@ -180,7 +182,7 @@ pub fn gain_vs_antennas_threads(
     (1..=n_max)
         .map(|n| {
             let cfg = CibConfig::paper_prototype_n(n);
-            let gains = par::ensemble_pool(
+            let gains = pool::ensemble(
                 threads,
                 trials,
                 seed.wrapping_add(n as u64),
@@ -240,7 +242,9 @@ pub fn gain_vs_depth(s: &Scenario, quick: bool) -> Vec<GainAtParameter> {
         .enumerate()
         .map(|(di, &d)| {
             let placement = Placement::water_tank(d);
-            let gains = par::ensemble(trials, s.seed.wrapping_add(di as u64 * 977), |rng, _| {
+            let (cfg, tag) = (cfg.clone(), tag.clone());
+            let seed = s.seed.wrapping_add(di as u64 * 977);
+            let gains = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
                 let trial = placement.draw_trial(rng, n, &tag, eirp, cfg.carrier_hz);
                 let single = trial.channels[0].norm_sqr();
                 cfg.received_peak_power(&trial.channels) / single
@@ -269,7 +273,9 @@ pub fn gain_vs_orientation(s: &Scenario, quick: bool) -> Vec<GainAtParameter> {
         .enumerate()
         .map(|(oi, &theta)| {
             let orient = tag.antenna.orientation_factor(theta);
-            let gains = par::ensemble(trials, seed.wrapping_add(oi as u64 * 7919), |rng, _| {
+            let cfg = cfg.clone();
+            let seed = seed.wrapping_add(oi as u64 * 7919);
+            let gains = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
                 let channels: Vec<Complex64> = blind_channels(rng, n)
                     .into_iter()
                     .map(|c| c * orient.sqrt())
@@ -326,7 +332,9 @@ pub fn gain_across_media(s: &Scenario, quick: bool) -> Vec<MediaGain> {
             // This is the paper's Fig. 11 point: the gain is
             // medium-independent. Small-scale Rician fading supplies
             // the per-antenna amplitude spread of a real room.
-            let pairs = par::ensemble(trials, s.seed.wrapping_add(mi as u64 * 104729), |rng, _| {
+            let cib = cib.clone();
+            let seed = s.seed.wrapping_add(mi as u64 * 104729);
+            let pairs = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
                 let channels = faded_channels(rng, n, LAB_RICIAN_K);
                 let single = channels[0].norm_sqr();
                 (
@@ -364,7 +372,7 @@ pub fn cib_vs_baseline_cdf(s: &Scenario, quick: bool) -> Ecdf {
         config: s.cib(quick),
     };
     let baseline = BlindCoherent { n };
-    let ratios = par::ensemble(trials, s.seed, |rng, _| {
+    let ratios = pool::ensemble(num_threads(), trials, s.seed, move |rng, _| {
         let channels = faded_channels(rng, n, LAB_RICIAN_K);
         cib.peak_power(&channels) / baseline.peak_power(&channels).max(1e-12)
     });
@@ -377,7 +385,7 @@ pub fn cib_vs_baseline_cdf(s: &Scenario, quick: bool) -> Ecdf {
 /// ECDF of MRT-with-stale-phases / baseline ratios.
 pub fn stale_mrt_vs_baseline_cdf(trials: usize, seed: u64) -> Ecdf {
     let baseline = BlindCoherent { n: 10 };
-    let ratios = par::ensemble(trials, seed, |rng, _| {
+    let ratios = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
         // The "coherent beamformer" applied precoding for a *previous*
         // channel draw; the medium shifted the phases since.
         let stale = blind_channels(rng, 10);
@@ -414,13 +422,15 @@ pub struct RangePoint {
 /// # Panics
 /// Panics if a scenario is not a `range` scenario.
 pub fn range_vs_antennas(panels: &[Scenario], quick: bool) -> Vec<Vec<RangePoint>> {
-    range_vs_antennas_threads(panels, quick, par::num_threads())
+    range_vs_antennas_threads(panels, quick, num_threads())
 }
 
 /// [`range_vs_antennas`] on an explicit worker count. Every
 /// `(panel, antenna count)` bisection is one work item with its own seed,
 /// so the rows are identical at any thread count and equal to running
-/// each panel on its own.
+/// each panel on its own. The bisections are few and costly, so a
+/// parallel sweep dispatches one item per pool chunk: paired items
+/// leave a worker idle while its neighbour finishes a long pair.
 pub fn range_vs_antennas_threads(
     panels: &[Scenario],
     quick: bool,
@@ -441,7 +451,10 @@ pub fn range_vs_antennas_threads(
         })
         .collect();
     ivn_runtime::obs_count!("experiment.rounds", items.len());
-    let points = par::par_map_threads(threads, &items, |_, &(p, n)| {
+    let mut rows: Vec<Vec<RangePoint>> = panels.iter().map(|_| Vec::new()).collect();
+    let width = if threads > 1 { items.len() } else { 1 };
+    let panels: Arc<[Scenario]> = panels.into();
+    let points = WorkerPool::global().map_move(items.clone(), width, move |_, (p, n)| {
         let s = &panels[p];
         let mut config = SystemConfig::paper_prototype(n, s.tag.spec());
         config.eirp_dbm = s.eirp_dbm;
@@ -453,7 +466,6 @@ pub fn range_vs_antennas_threads(
         };
         RangePoint { n, range_m }
     });
-    let mut rows: Vec<Vec<RangePoint>> = panels.iter().map(|_| Vec::new()).collect();
     for (&(p, _), point) in items.iter().zip(points) {
         rows[p].push(point);
     }
@@ -500,14 +512,12 @@ pub fn in_vivo_campaign(s: &Scenario, quick: bool) -> Vec<InVivoRow> {
             let mut config = SystemConfig::paper_prototype(s.array.n_antennas, tag.clone());
             config.eirp_dbm = s.eirp_dbm;
             let sys = IvnSystem::new(config);
-            let outcomes = par::ensemble(
-                trials,
-                s.seed.wrapping_add((pi * 2 + ti) as u64 * 65537),
-                |rng, _| {
-                    let out = sys.run_session(rng, placement);
-                    (out.success(), out.correlation)
-                },
-            );
+            let at = placement.clone();
+            let seed = s.seed.wrapping_add((pi * 2 + ti) as u64 * 65537);
+            let outcomes = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
+                let out = sys.run_session(rng, &at);
+                (out.success(), out.correlation)
+            });
             let successes = outcomes.iter().filter(|(ok, _)| *ok).count();
             let correlations: Vec<f64> = outcomes.iter().map(|(_, c)| *c).collect();
             rows.push(InVivoRow {
@@ -536,7 +546,7 @@ pub fn cib_mrt_efficiency(n: usize, trials: usize, seed: u64) -> f64 {
         n: cib.n_antennas(),
     };
     let single = SingleAntenna;
-    let ratios = par::ensemble(trials, seed, |rng, _| {
+    let ratios = pool::ensemble(num_threads(), trials, seed, move |rng, _| {
         let ch = blind_channels(rng, cib.n_antennas());
         debug_assert!(single.peak_power(&ch) > 0.0);
         cib.peak_power(&ch) / mrt.peak_power(&ch)

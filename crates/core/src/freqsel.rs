@@ -4,12 +4,13 @@
 //! of the peak envelope over random phase draws, subject to the Eq. 9 RMS
 //! constraint. The paper solves this with a one-time Monte-Carlo
 //! simulation ("less than 5 mins in MATLAB"); we use seeded random-restart
-//! hill climbing, parallelized across restarts on the `ivn-runtime` scoped
+//! hill climbing, parallelized across restarts on the `ivn-runtime`
 //! worker pool. A worst-set search (same machinery, minimizing) provides
 //! Fig. 6's bad example.
 
 use crate::kernels::{CrnKernel, EnvelopeScratch};
 use crate::waveform::rms_offset;
+use ivn_runtime::pool::{num_threads, WorkerPool};
 use ivn_runtime::rng::{Rng, StdRng};
 
 /// Optimizer configuration.
@@ -218,10 +219,12 @@ pub fn pessimize(cfg: &FreqSelConfig, seed: u64) -> FrequencyPlan {
 
 fn run_restarts(cfg: &FreqSelConfig, seed: u64, maximize: bool) -> FrequencyPlan {
     // Each restart is seeded independently, so the pool's scheduling
-    // cannot affect the result — only how fast it arrives.
-    let restarts: Vec<u64> = (0..cfg.restarts as u64).collect();
-    let plans = ivn_runtime::par::par_map(&restarts, |_, &r| {
-        climb(cfg, seed.wrapping_add(r * 0x9E37), maximize)
+    // cannot affect the result — only how fast it arrives. Called from
+    // inside a pool job (a campaign plan-cache miss), the restarts run
+    // inline on that worker.
+    let cfg = *cfg;
+    let plans = WorkerPool::global().map_indexed(cfg.restarts, num_threads(), move |r| {
+        climb(&cfg, seed.wrapping_add(r as u64 * 0x9E37), maximize)
     });
     plans
         .into_iter()
@@ -309,6 +312,29 @@ mod tests {
         let a = optimize(&cfg, 9);
         let b = optimize(&cfg, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn optimize_inside_a_pool_job_matches_direct_call() {
+        // A campaign plan-cache miss calls `optimize` from a pool job,
+        // where the restarts run inline on the worker instead of
+        // dispatching. The plan must not depend on which path ran.
+        let cfg = FreqSelConfig::test_scale(4);
+        let direct = optimize(&cfg, 9);
+        let mut nested_on_worker = false;
+        for _ in 0..20 {
+            let runs = WorkerPool::global().map_indexed(8, 8, move |_| {
+                (ivn_runtime::pool::on_pool_worker(), optimize(&cfg, 9))
+            });
+            for (_, plan) in &runs {
+                assert_eq!(plan, &direct);
+            }
+            if runs.iter().any(|(on_worker, _)| *on_worker) {
+                nested_on_worker = true;
+                break;
+            }
+        }
+        assert!(nested_on_worker, "no job ever ran on a pool worker");
     }
 
     #[test]

@@ -95,30 +95,6 @@ pub fn scenario_deployment(s: &Scenario) -> Result<Vec<SensorDeployment>, String
         .collect()
 }
 
-/// Runs one multi-sensor campaign for a scenario: its population, array
-/// and EIRP, with the scenario's `max_rounds` arbitration budget.
-pub fn run_scenario<R: Rng + ?Sized>(
-    rng: &mut R,
-    s: &Scenario,
-    quick: bool,
-) -> Result<Vec<SensorOutcome>, String> {
-    let ScenarioKind::MultiSensor { max_rounds, .. } = s.kind else {
-        return Err(format!(
-            "scenario '{}' is not multi_sensor (kind '{}')",
-            s.name,
-            s.kind.type_name()
-        ));
-    };
-    let sensors = scenario_deployment(s)?;
-    Ok(run_campaign(
-        rng,
-        &s.cib(quick),
-        s.eirp_dbm,
-        &sensors,
-        max_rounds,
-    ))
-}
-
 /// Runs one multi-sensor campaign: powers the population with CIB,
 /// inventories whoever woke via Gen2 arbitration.
 ///

@@ -56,7 +56,7 @@ use ivn_rfid::commands::{Command, DivideRatio, Session, TagEncoding};
 use ivn_rfid::link::LinkParams;
 use ivn_rfid::pie;
 use ivn_runtime::json::{Json, ToJson};
-use ivn_runtime::par;
+use ivn_runtime::rng::StdRng;
 
 /// Block size for the streaming harvester transient: one rotator chunk,
 /// so every block starts 256-aligned and the block sampler matches the
@@ -205,15 +205,17 @@ pub fn time_to_power(envelope: &CibEnvelope, power: &TagPowerProfile, rate: f64)
     state.finish().time_to_power_s
 }
 
-/// Evaluates one scenario. Runs trials inline (single worker) so the
-/// campaign driver can parallelize across scenarios without nesting
-/// pools; the result is identical at any thread count regardless.
+/// Evaluates one scenario. Runs its trials serially — trial `i` draws
+/// from stream `fork(i)` of the scenario seed — so the campaign driver
+/// can parallelize across scenarios without nesting dispatches; the
+/// result is identical at any thread count regardless.
 pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     let placement = s.placement.resolve().map_err(|e| e.reason)?;
     let cib = s.cib(quick);
     let tag = s.tag.spec();
     let eirp_w = dbm_to_watts(s.eirp_dbm);
     let trials = s.trial_count(quick).max(1);
+    let root = StdRng::seed_from_u64(s.seed);
 
     if let ScenarioKind::MultiSensor {
         population,
@@ -224,9 +226,12 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         let population = (*population).max(1);
         let sensors = scenario_deployment(s)?;
         ivn_runtime::obs_count!("experiment.trials", trials * population);
-        let runs = par::ensemble_threads(1, trials, s.seed, |rng, _| {
-            run_campaign(rng, &cib, s.eirp_dbm, &sensors, *max_rounds)
-        });
+        let runs: Vec<_> = (0..trials)
+            .map(|i| {
+                let rng = &mut root.fork(i as u64);
+                run_campaign(rng, &cib, s.eirp_dbm, &sensors, *max_rounds)
+            })
+            .collect();
         let mut metrics = ScenarioMetrics {
             name: s.name.clone(),
             trials: trials * population,
@@ -245,7 +250,9 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
     if let ScenarioKind::Inventory { population, .. } = &s.kind {
         let exp = crate::inventory::InventoryExperiment::prepare(s, quick)?;
         ivn_runtime::obs_count!("experiment.trials", trials * population.count);
-        let runs = par::ensemble_threads(1, trials, s.seed, |rng, _| exp.run_trial(rng));
+        let runs: Vec<_> = (0..trials)
+            .map(|i| exp.run_trial(&root.fork(i as u64)))
+            .collect();
         let mut metrics = ScenarioMetrics {
             name: s.name.clone(),
             trials: trials * population.count,
@@ -284,7 +291,8 @@ pub fn evaluate(s: &Scenario, quick: bool) -> Result<ScenarioMetrics, String> {
         decoded: bool,
     }
 
-    let outs = par::ensemble_threads(1, trials, s.seed, |rng, _| {
+    let outs = (0..trials).map(|i| {
+        let rng = &mut root.fork(i as u64);
         let trial = placement.draw_trial(rng, cib.n(), &tag, eirp_w, cib.carrier_hz);
         let envelope = cib.envelope_at(&trial.channels);
         let single_w = trial.channels[0].norm_sqr();

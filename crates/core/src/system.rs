@@ -22,7 +22,7 @@
 use crate::body::{Placement, TagSpec, PAPER_EIRP_DBM};
 use crate::cib::CibConfig;
 use crate::oob::{DecodeResult, JamTone, OobReader, OobReaderConfig};
-use crate::scenario::{time_to_power, Scenario, ScenarioKind};
+use crate::scenario::time_to_power;
 use ivn_dsp::units::dbm_to_watts;
 use ivn_rfid::backscatter::BackscatterModulator;
 use ivn_rfid::commands::{Command, Session};
@@ -62,27 +62,6 @@ impl SystemConfig {
             link: LinkParams::paper_defaults(),
             powerup_rate: 4096.0,
             command_rate: 400e3,
-        }
-    }
-
-    /// The system a [`Scenario`] describes: its array/frequency plan,
-    /// tag, EIRP, and (for power-session scenarios) its sample rates.
-    pub fn from_scenario(s: &Scenario, quick: bool) -> Self {
-        let (powerup_rate, command_rate) = match s.kind {
-            ScenarioKind::PowerSession {
-                powerup_rate,
-                command_rate,
-            } => (powerup_rate, command_rate),
-            _ => (4096.0, 400e3),
-        };
-        SystemConfig {
-            cib: s.cib(quick),
-            tag: s.tag.spec(),
-            eirp_dbm: s.eirp_dbm,
-            reader: OobReaderConfig::paper_defaults(),
-            link: LinkParams::paper_defaults(),
-            powerup_rate,
-            command_rate,
         }
     }
 }
@@ -125,23 +104,6 @@ impl IvnSystem {
     /// Creates a system.
     pub fn new(config: SystemConfig) -> Self {
         IvnSystem { config }
-    }
-
-    /// Assembles the system a [`Scenario`] describes.
-    pub fn from_scenario(s: &Scenario, quick: bool) -> Self {
-        IvnSystem::new(SystemConfig::from_scenario(s, quick))
-    }
-
-    /// Runs one session for a scenario: the scenario's system against its
-    /// resolved placement. Errors if the placement names an unknown
-    /// medium.
-    pub fn run_scenario<R: Rng + ?Sized>(
-        rng: &mut R,
-        s: &Scenario,
-        quick: bool,
-    ) -> Result<SessionOutcome, String> {
-        let placement = s.placement.resolve().map_err(|e| e.reason)?;
-        Ok(Self::from_scenario(s, quick).run_session(rng, &placement))
     }
 
     /// Runs one full session against a placement. All randomness (channel

@@ -2,9 +2,9 @@
 //!
 //! This crate provides every signal-processing primitive used by the IVN
 //! (In-Vivo Networking) reproduction: complex arithmetic, unit conversions,
-//! IQ sample buffers, oscillators, FFTs, FIR/IIR filters, envelope
-//! detection, correlation, noise generation, amplitude modulation,
-//! resampling, and the descriptive statistics used by every experiment.
+//! IQ sample buffers, oscillators, FFTs, FIR filters, envelope detection,
+//! correlation, noise generation, and the descriptive statistics used by
+//! every experiment.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded
 //! networking stacks: plain data types, no `unsafe`, no hidden global state,
@@ -31,12 +31,8 @@ pub mod correlate;
 pub mod envelope;
 pub mod fft;
 pub mod filter;
-pub mod goertzel;
-pub mod iir;
-pub mod modulation;
 pub mod noise;
 pub mod osc;
-pub mod resample;
 pub mod rotor;
 pub mod stats;
 pub mod units;

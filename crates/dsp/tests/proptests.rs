@@ -5,13 +5,11 @@ use ivn_dsp::correlate::{best_match, coherent_average};
 use ivn_dsp::envelope::fluctuation;
 use ivn_dsp::fft::{fft, ifft};
 use ivn_dsp::filter::{design_lowpass, fir_response, FirFilter};
-use ivn_dsp::modulation::{ook_demod, ook_waveform};
 use ivn_dsp::osc::MultiTone;
-use ivn_dsp::resample::interp_at;
 use ivn_dsp::stats::{percentile, Ecdf};
 use ivn_dsp::units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};
 use ivn_dsp::window::Window;
-use ivn_runtime::prop::{any, vec as pvec, Strategy};
+use ivn_runtime::prop::{vec as pvec, Strategy};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_assume, props};
 
 fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -117,14 +115,6 @@ props! {
         prop_assert!((0.0..=1.0).contains(&fl));
     }
 
-    fn ook_roundtrip_any_bits(bits in pvec(any::<bool>(), 4..64)) {
-        // Roundtrip only well-defined when both symbols appear.
-        prop_assume!(bits.iter().any(|&b| b) && bits.iter().any(|&b| !b));
-        let buf = ook_waveform(&bits, 8, 1.0, 1000.0);
-        let out = ook_demod(&buf.envelope(), 8);
-        prop_assert_eq!(out, bits);
-    }
-
     fn best_match_self_is_perfect(x in complex_vec(8..32)) {
         prop_assume!(x.iter().map(|s| s.norm_sqr()).sum::<f64>() > 1e-9);
         let (lag, coeff) = best_match(&x, &x).unwrap();
@@ -170,15 +160,5 @@ props! {
             prev = v;
         }
         prop_assert_eq!(e.eval(1e12), 1.0);
-    }
-
-    fn interp_between_neighbors(data in pvec(finite_f64(-5.0..5.0), 2..20),
-                                x in finite_f64(0.0..1.0)) {
-        let idx = x * (data.len() - 1) as f64;
-        let v = interp_at(&data, idx);
-        let i = (idx.floor() as usize).min(data.len() - 2);
-        let lo = data[i].min(data[i + 1]);
-        let hi = data[i].max(data[i + 1]);
-        prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
     }
 }

@@ -7,7 +7,7 @@ use ivn_rfid::anticollision::{AdaptiveQ, AntiCollision, CaptureModel, FixedQ, Sc
 use ivn_rfid::population::inventory_population;
 use ivn_rfid::reader::QAlgorithm;
 use ivn_rfid::tag::Tag;
-use ivn_runtime::par;
+use ivn_runtime::pool;
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
 
@@ -62,7 +62,7 @@ props! {
         n in 2usize..24, seed in 0u64..1 << 48,
         threshold_db in 1.0f64..9.0, fade_db in 0.0f64..6.0) {
         let run = |threads: usize| {
-            par::ensemble_threads(threads, 6, seed, |rng, _| {
+            pool::ensemble(threads, 6, seed, move |rng, _| {
                 let mut tags = population(n, rng);
                 let powers: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
                 let mut capture =
@@ -84,7 +84,7 @@ props! {
     fn collisions_grow_with_population(
         n in 2usize..16, q in 3u8..6, seed in 0u64..1 << 48) {
         let collisions = |count: usize| -> usize {
-            par::ensemble_threads(1, 12, seed, |rng, _| {
+            pool::ensemble(1, 12, seed, move |rng, _| {
                 let mut tags = population(count, rng);
                 let mut policy = FixedQ::new(q);
                 inventory_population(&mut policy, None, &mut tags, 128)

@@ -8,14 +8,13 @@
 //!   Xoshiro256++ generator ([`rng::StdRng`]) behind the small [`rng::Rng`]
 //!   trait surface the simulator actually uses (`random::<f64>()`, ranges,
 //!   fork-by-stream for per-trial seeding).
-//! * [`par`] — a scoped worker-pool `par_map` built on
-//!   `std::thread::scope`, plus [`par::ensemble`] which runs Monte-Carlo
-//!   trials in parallel with per-trial forked RNG streams so results are
-//!   bit-identical at any thread count.
-//! * [`pool`] — a persistent work-stealing [`pool::WorkerPool`] (parked
-//!   workers, per-worker deques, deterministic chunking) that amortizes
-//!   thread spawn for the short dispatches issued by the streaming
-//!   sample path, the campaign driver, and the Monte-Carlo sweeps.
+//! * [`pool`] — the one executor: a persistent work-stealing
+//!   [`pool::WorkerPool`] (parked workers, per-worker deques,
+//!   deterministic chunking) that serves every parallel map — the
+//!   streaming sample path, the campaign driver, the frequency-plan
+//!   search and the Monte-Carlo sweeps. [`pool::ensemble`] runs
+//!   Monte-Carlo trials on it with per-trial forked RNG streams, so
+//!   results are bit-identical at any width.
 //! * [`json`] — a minimal JSON value, emitter and parser for
 //!   machine-readable figure output from the bench harness.
 //! * [`prop`] — a seeded, shrink-free property-test harness (the
@@ -43,7 +42,6 @@
 pub mod bench;
 pub mod json;
 pub mod obs;
-pub mod par;
 pub mod pool;
 pub mod prop;
 pub mod rng;

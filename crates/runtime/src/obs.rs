@@ -13,10 +13,10 @@
 //!    call site is a relaxed load plus an always-not-taken branch and
 //!    touches no other shared state. The [`Obs`] handle hoists even that
 //!    load out of hot loops.
-//! 2. **Recording is lock-free and safe under the `par` worker pool.**
+//! 2. **Recording is lock-free and safe under the worker pool.**
 //!    Counters are sharded across cache-line-padded atomics indexed by a
 //!    per-thread slot, so the workers of
-//!    [`par::par_map`](crate::par::par_map) never contend on one line;
+//!    [`WorkerPool`](crate::pool::WorkerPool) never contend on one line;
 //!    histograms and gauges are plain atomics. Only *creating* a metric
 //!    (first use of a name) takes a mutex, and the [`obs_count!`],
 //!    [`span!`](crate::span) and [`obs_gauge!`] macros cache that lookup

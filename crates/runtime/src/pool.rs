@@ -1,11 +1,12 @@
-//! A persistent work-stealing worker pool for coarse-grained parallelism.
+//! The workspace's one executor: a persistent work-stealing worker pool
+//! for every parallel map.
 //!
-//! [`par::par_map_threads`](crate::par::par_map_threads) spawns fresh OS
-//! threads on every call — fine for second-long Monte-Carlo sweeps, pure
-//! overhead for the millisecond-scale dispatches the streaming sample
-//! path and the campaign driver issue thousands of times per run
+//! The paper's frequency-plan search (Eq. 10) and every evaluation figure
+//! are Monte-Carlo ensembles, and the streaming sample path and the
+//! campaign driver issue millisecond-scale dispatches thousands of times
+//! per run. Spawning OS threads per call is pure overhead at that scale
 //! (BENCH_runtime.json before this module: 8-thread `parallel_sweep` at
-//! 0.38–0.92x). [`WorkerPool`] fixes the constant factor:
+//! 0.38–0.92x), so [`WorkerPool`] keeps its threads:
 //!
 //! * **Persistent workers.** Threads are spawned once (lazily, via
 //!   [`WorkerPool::global`]) and parked on a condvar between calls, so a
@@ -19,14 +20,17 @@
 //!   `(len, width)`, every chunk is tagged with its start index, and the
 //!   caller reassembles results in index order — so the output is
 //!   byte-identical no matter which worker ran which chunk or in what
-//!   order (pinned by `tests/pool_props.rs`).
+//!   order (pinned by `tests/pool_props.rs`). [`ensemble`] adds the
+//!   seeding discipline — trial `i` draws from RNG stream `i` forked off
+//!   the ensemble seed — that makes Monte-Carlo results bit-identical at
+//!   any width (`tests/determinism.rs`).
 //!
 //! The workspace denies `unsafe`, so unlike rayon the pool cannot smuggle
 //! borrowed closures across threads: jobs must be `'static` and own their
 //! data ([`WorkerPool::map_move`] moves items through the pool and back).
-//! Call sites that only have borrowed data either clone it (campaign
-//! scenarios), move it (BankStreamer lane slots), or keep using the
-//! scoped spawning path in [`par`](crate::par).
+//! Call sites that only have borrowed data clone it (campaign scenarios,
+//! the experiment sweeps' small configs) or move it (BankStreamer lane
+//! slots).
 //!
 //! Nested dispatches from inside a pool worker run inline on that worker
 //! (a thread-local flag), so a pooled task may itself call pooled code
@@ -36,6 +40,7 @@
 //! counts as an extra executor.
 
 use crate::obs;
+use crate::rng::StdRng;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,6 +59,39 @@ thread_local! {
 /// pool calls detect this and run inline to avoid self-deadlock.
 pub fn on_pool_worker() -> bool {
     IS_POOL_WORKER.with(|f| f.get())
+}
+
+/// The default dispatch width and the global pool's worker count: the
+/// `IVN_THREADS` environment variable if set to a positive integer,
+/// otherwise the machine's available parallelism.
+pub fn num_threads() -> usize {
+    if let Ok(v) = std::env::var("IVN_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Runs `trials` Monte-Carlo trials on the global [`WorkerPool`] at
+/// dispatch width `width`.
+///
+/// Trial `i` receives `StdRng::seed_from_u64(seed).fork(i)` and its
+/// index, so the result vector depends only on `(seed, trials)` — never
+/// on the width or scheduling. `f` must own its captures (`'static`),
+/// because the pool's worker threads outlive the caller's stack frame.
+pub fn ensemble<U, F>(width: usize, trials: usize, seed: u64, f: F) -> Vec<U>
+where
+    U: Send + 'static,
+    F: Fn(&mut StdRng, usize) -> U + Send + Sync + 'static,
+{
+    let root = StdRng::seed_from_u64(seed);
+    WorkerPool::global().map_indexed(trials, width, move |i| {
+        let mut rng = root.fork(i as u64);
+        f(&mut rng, i)
+    })
 }
 
 /// Chunk length used to split `n` items across a dispatch of `width`
@@ -226,13 +264,13 @@ impl WorkerPool {
     }
 
     /// The process-wide pool, created on first use with
-    /// [`num_threads`](crate::par::num_threads) workers. Its lane stats
+    /// [`num_threads`] workers. Its lane stats
     /// are published as `pool.*` gauges on every
     /// [`obs::report`](crate::obs::report) via a registered collector.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let pool = WorkerPool::new(crate::par::num_threads());
+            let pool = WorkerPool::new(num_threads());
             let shared = Arc::clone(&pool.shared);
             obs::register_collector(move || publish_stats(&shared));
             pool
@@ -341,10 +379,9 @@ impl WorkerPool {
     }
 
     /// Moves `items` through the pool: each is passed by value to
-    /// `f(index, item)` and the outputs come back in input order. This is
-    /// the owned-data analogue of
-    /// [`par::par_map_threads`](crate::par::par_map_threads) — the shape
-    /// the no-`unsafe` rule forces on persistent-thread dispatch.
+    /// `f(index, item)` and the outputs come back in input order — the
+    /// owned-data map the no-`unsafe` rule forces on persistent-thread
+    /// dispatch.
     ///
     /// # Panics
     /// Re-raises the first (lowest-index-chunk) panic from any job.
@@ -625,6 +662,21 @@ mod tests {
         let inner = Arc::clone(&pool);
         let out = pool.map_indexed(4, 8, move |i| inner.map_indexed(3, 8, move |j| i * 10 + j));
         assert_eq!(out[3], vec![30, 31, 32]);
+    }
+
+    #[test]
+    fn num_threads_is_positive() {
+        assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn ensemble_trials_use_distinct_streams() {
+        use crate::rng::Rng;
+        let draws = ensemble(2, 50, 1, |rng, _| rng.random::<u64>());
+        let mut unique = draws.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), draws.len());
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! module. [`Trace::from_chrome_json`] parses the same format back, so the
 //! `trace_report` analyzer round-trips without external crates.
 //!
-//! Worker threads from [`par`](crate::par) are ephemeral (fresh threads per
-//! `thread::scope`), so rings live in a global pool: a thread leases a
-//! track for its lifetime and returns it to a free list on exit. Track ids
-//! therefore map to *worker slots*, not OS threads — exactly the lanes you
-//! want to see in a timeline view.
+//! The pool's workers persist, but other threads still come and go —
+//! test threads, the telemetry sampler, a caller's own threads —
+//! so rings live in a global pool: a thread leases a track for its
+//! lifetime and returns it to a free list on exit. Track ids therefore
+//! map to *worker slots*, not OS threads — exactly the lanes you want to
+//! see in a timeline view.
 
 use crate::json::{Json, JsonError};
 use std::cell::OnceCell;
@@ -171,8 +172,8 @@ fn registry() -> &'static TrackRegistry {
     })
 }
 
-/// Returns a leased track to the free pool when its thread exits, so the
-/// ephemeral `par` worker threads reuse a bounded set of rings.
+/// Returns a leased track to the free pool when its thread exits, so
+/// short-lived threads reuse a bounded set of rings.
 struct TrackLease(&'static Track);
 
 impl Drop for TrackLease {

@@ -2,13 +2,12 @@
 //!
 //! The three guarantees the pipeline instrumentation leans on:
 //! histogram merging is a commutative monoid (so per-shard snapshots can
-//! combine in any order), counter totals are independent of how the
-//! `par` worker pool schedules the increments, and a `Report` survives a
-//! round trip through the in-tree `json` layer bit-for-bit.
+//! combine in any order), counter totals are independent of how
+//! concurrent threads interleave the increments, and a `Report` survives
+//! a round trip through the in-tree `json` layer bit-for-bit.
 
 use ivn_runtime::json::{FromJson, Json, ToJson};
 use ivn_runtime::obs::{self, HistogramSnapshot, Report};
-use ivn_runtime::par;
 use ivn_runtime::prop::{vec, Just, Strategy};
 use ivn_runtime::{prop_assert, prop_assert_eq, prop_oneof, props};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +17,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn unique_name(prefix: &str) -> String {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     format!("{prefix}.{}", NEXT.fetch_add(1, Ordering::Relaxed))
+}
+
+/// Calls `f` on every item from `threads` fresh OS threads at once
+/// (thread `t` takes items `t`, `t + threads`, …), so recording really
+/// races across threads.
+fn on_threads<T: Sync>(threads: usize, items: &[T], f: impl Fn(&T) + Sync) {
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let f = &f;
+            scope.spawn(move || items.iter().skip(t).step_by(threads).for_each(f));
+        }
+    });
 }
 
 /// Sample values spanning every histogram bucket from 0 up to 2^40.
@@ -94,7 +105,7 @@ props! {
     ) {
         obs::set_enabled(true);
         let c = obs::counter(&unique_name("prop.counter"));
-        par::par_map_threads(threads, &increments, |_, &n| c.add(n));
+        on_threads(threads, &increments, |&n| c.add(n));
         prop_assert_eq!(c.total(), increments.iter().sum::<u64>());
     }
 
@@ -105,9 +116,7 @@ props! {
         obs::set_enabled(true);
         let h = obs::histogram(&unique_name("prop.hist"));
         let items: Vec<usize> = (0..n_spans).collect();
-        par::par_map_threads(threads, &items, |_, &i| {
-            h.record(i as u64);
-        });
+        on_threads(threads, &items, |&i| h.record(i as u64));
         let snap = h.snapshot();
         prop_assert_eq!(snap.count, n_spans as u64);
         prop_assert_eq!(snap.sum, items.iter().map(|&i| i as u64).sum::<u64>());
@@ -173,7 +182,7 @@ props! {
         let name = unique_name("prop.delta");
         let c = obs::counter(&name);
         let prev = obs::report();
-        par::par_map_threads(threads, &increments, |_, &n| c.add(n));
+        on_threads(threads, &increments, |&n| c.add(n));
         let d = obs::report().delta(&prev);
         prop_assert_eq!(d.counter(&name), Some(increments.iter().sum::<u64>()));
     }

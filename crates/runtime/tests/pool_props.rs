@@ -6,10 +6,9 @@
 //! widths, regardless of which worker ran which chunk), reuse across
 //! successive dispatches leaks no state between calls, degenerate
 //! inputs (empty, one item) complete without deadlocking, and the
-//! pooled ensemble entry point reproduces the scoped one bit for bit.
+//! pooled ensemble reproduces a serial fork-per-trial loop bit for bit.
 
-use ivn_runtime::par;
-use ivn_runtime::pool::{chunk_size, WorkerPool};
+use ivn_runtime::pool::{self, chunk_size, WorkerPool};
 use ivn_runtime::prop::any;
 use ivn_runtime::rng::{Rng, StdRng};
 use ivn_runtime::{prop_assert, prop_assert_eq, props};
@@ -46,13 +45,17 @@ props! {
         }
     }
 
-    fn ensemble_pool_matches_scoped_ensemble(trials in 0usize..150, seed in any::<u64>()) {
-        // The pooled ensemble must be a drop-in for the scoped one:
-        // same fork-per-trial streams, same order, bit-identical draws.
-        let scoped = par::ensemble_threads(2, trials, seed, |rng, i| (i, rng.random::<f64>()));
+    fn ensemble_matches_serial_fork_loop(trials in 0usize..150, seed in any::<u64>()) {
+        // The pooled ensemble must equal the serial reference: trial `i`
+        // on stream `fork(i)` of the seed, in trial order, bit-identical
+        // draws at every width.
+        let root = StdRng::seed_from_u64(seed);
+        let serial: Vec<(usize, f64)> = (0..trials)
+            .map(|i| (i, root.fork(i as u64).random::<f64>()))
+            .collect();
         for width in [1usize, 2, 8] {
-            let pooled = par::ensemble_pool(width, trials, seed, |rng, i| (i, rng.random::<f64>()));
-            prop_assert_eq!(&pooled, &scoped);
+            let pooled = pool::ensemble(width, trials, seed, |rng, i| (i, rng.random::<f64>()));
+            prop_assert_eq!(&pooled, &serial);
         }
     }
 
@@ -93,10 +96,7 @@ fn empty_and_single_inputs_complete() {
         let empty_move: Vec<u32> = pool.map_move(Vec::<u32>::new(), width, |_, x| x);
         assert!(empty_move.is_empty());
         assert_eq!(pool.map_move(vec![9u32], width, |_, x| x * 2), vec![18]);
-        assert_eq!(
-            par::ensemble_pool(width, 0, 1, |_, i| i),
-            Vec::<usize>::new()
-        );
+        assert_eq!(pool::ensemble(width, 0, 1, |_, i| i), Vec::<usize>::new());
     }
 }
 

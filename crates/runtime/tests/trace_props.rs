@@ -1,5 +1,5 @@
 //! Ring-buffer edge cases for `ivn_runtime::trace`: wraparound after
-//! capacity events, concurrent emission from the `par` worker pool, and
+//! capacity events, concurrent emission from several OS threads, and
 //! empty-trace export validity.
 //!
 //! Trace state is process-global (enable flag, track rings shared through
@@ -48,7 +48,7 @@ fn wraparound_keeps_newest_events() {
 }
 
 #[test]
-fn concurrent_emit_from_par_pool() {
+fn concurrent_emit_from_scoped_threads() {
     let _guard = serial();
     trace::reset();
     trace::set_enabled(true);
@@ -56,12 +56,16 @@ fn concurrent_emit_from_par_pool() {
     const TRIALS: usize = 16;
     const PER_TRIAL: usize = 10;
     let tok = trace::intern("props.par");
-    let items: Vec<usize> = (0..TRIALS).collect();
-    ivn_runtime::par::par_map_threads(WORKERS, &items, |_, &trial| {
-        for k in 0..PER_TRIAL {
-            trace::counter(tok, (trial * 1000 + k) as f64);
+    std::thread::scope(|scope| {
+        for w in 0..WORKERS {
+            scope.spawn(move || {
+                for trial in (w..TRIALS).step_by(WORKERS) {
+                    for k in 0..PER_TRIAL {
+                        trace::counter(tok, (trial * 1000 + k) as f64);
+                    }
+                }
+            });
         }
-        trial
     });
     trace::set_enabled(false);
     let snap = trace::snapshot();

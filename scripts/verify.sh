@@ -258,17 +258,22 @@ cmp "$SCN_DIR/session.json" "$SCN_DIR/session2.json" || {
 }
 echo "scenario export round-trip OK"
 
-echo "==> built-in scenarios reproduce the legacy figure bytes"
-# Cheap targets only here (the full 13-target pin runs in scenario_golden):
-# the registry path through `reproduce <target>` must match the golden files.
-for target in fig2 fig4 fig9 fig11 invivo; do
-    cargo run --release --offline -p ivn-bench --bin reproduce -- "$target" --quick > "target/verify_$target.txt"
-    cmp "target/verify_$target.txt" "tests/golden/figures/$target.quick.txt" || {
-        echo "verify: FAIL — reproduce $target --quick diverged from tests/golden/figures/$target.quick.txt" >&2
-        exit 1
-    }
+echo "==> built-in scenarios reproduce the legacy figure bytes at 1 and 2 threads"
+# The registry path through `reproduce <target>` must match the golden
+# files (the full 13-target pin runs in scenario_golden). Every target
+# whose Monte-Carlo sweep dispatches on the worker pool runs at two pool
+# widths, so a scheduling-dependent result cannot hide behind one width.
+for threads in 1 2; do
+    for target in fig2 fig4 fig6 fig9 fig10 fig11 fig12 fig13 invivo freqs ablations; do
+        out="target/verify_${target}_t$threads.txt"
+        IVN_THREADS=$threads cargo run -q --release --offline -p ivn-bench --bin reproduce -- "$target" --quick > "$out"
+        cmp "$out" "tests/golden/figures/$target.quick.txt" || {
+            echo "verify: FAIL — IVN_THREADS=$threads reproduce $target --quick diverged from tests/golden/figures/$target.quick.txt" >&2
+            exit 1
+        }
+    done
 done
-echo "figure bytes match golden files"
+echo "figure bytes match golden files at IVN_THREADS=1 and 2"
 
 echo "==> 25-scenario generated campaign smoke run"
 FLEET_DIR=target/verify_fleet

@@ -16,7 +16,7 @@
 //! * [`core`] — CIB beamforming, frequency selection, baselines, the
 //!   out-of-band reader, and the end-to-end [`core::system::IvnSystem`]
 //! * [`runtime`] — the zero-dependency substrate: seeded RNG streams,
-//!   scoped worker pool, JSON, property testing and the bench harness
+//!   persistent worker pool, JSON, property testing and the bench harness
 //!
 //! ## Quickstart
 //!
